@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="query engine of the density/dependency hot paths for "
         "ex-dpc/approx-dpc/s-approx-dpc ('auto' picks dual/batch by "
-        "dimension; default: REPRO_DEFAULT_ENGINE or 'batch'; baselines "
+        "dimension; default: REPRO_DEFAULT_ENGINE or 'auto'; baselines "
         "ignore the flag; see docs/performance.md)",
     )
     cluster.add_argument(

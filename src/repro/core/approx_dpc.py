@@ -28,11 +28,15 @@ Every phase is embarrassingly parallel; tasks are partitioned over threads
 with the cost-based greedy LPT policy of §4.5, which is what the recorded
 parallel profile reproduces.
 
-With the default ``engine="batch"``, the joint range searches and the exact
+With ``engine="batch"`` (what the default ``engine="auto"`` resolves to above
+``AUTO_DUAL_MAX_DIM`` dimensions), the joint range searches and the exact
 dependency fallback are issued as chunked vectorised batch queries
 (:meth:`repro.index.kdtree.KDTree.range_search_batch`,
 :meth:`repro.core.dependency_join.PartitionedDependencySearcher.query_batch`)
-that produce results identical to the scalar per-cell code.
+that produce results identical to the scalar per-cell code; on
+low-dimensional data ``"auto"`` runs them as dual-tree joins instead
+(:meth:`repro.index.kdtree.KDTree.range_search_dual_vs`), again with
+identical results.
 """
 
 from __future__ import annotations

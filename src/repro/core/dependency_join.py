@@ -539,12 +539,7 @@ def build_join_trees(
         rho_q = rho
     else:
         q_arr = qi if qi is not None else np.arange(points.shape[0], dtype=np.intp)
-        queries_tree = KDTree(
-            points[q_arr],
-            leaf_size=leaf_size,
-            counter=WorkCounter(),
-            kernel=data_tree.kernel_name,
-        )
+        queries_tree = KDTree.for_queries(points[q_arr], data_tree, dtype="float64")
         rho_q = rho[q_arr]
     return data_tree, rho_data, queries_tree, rho_q, cand_sorted
 
@@ -646,12 +641,7 @@ def attach_targets(
     if n_q == 0:
         return np.empty(0, dtype=np.intp)
     if engine == "dual":
-        queries_tree = KDTree(
-            queries,
-            leaf_size=tree.leaf_size,
-            counter=WorkCounter(),
-            kernel=tree.kernel_name,
-        )
+        queries_tree = KDTree.for_queries(queries, tree, dtype="float64")
         targets, _ = tree.nn_dual_vs(queries_tree, rho_train, rho_q)
         unresolved = np.flatnonzero(targets < 0)
         if unresolved.size:
@@ -694,9 +684,7 @@ def repair_nearest_denser(
         and float(n_q) * float(n) >= _DUAL_REPAIR_MIN_WORK
     ):
         data_tree = KDTree(points, leaf_size=leaf_size, counter=counter, kernel=kernel)
-        queries_tree = KDTree(
-            queries, leaf_size=leaf_size, counter=WorkCounter(), kernel=kernel
-        )
+        queries_tree = KDTree.for_queries(queries, data_tree)
         return data_tree.nn_dual_vs(queries_tree, rho, rho_q)
     return nearest_denser_bruteforce(
         points,

@@ -89,20 +89,22 @@ ENGINE_CHOICES = ENGINES + ("auto",)
 AUTO_DUAL_MAX_DIM = 5
 
 #: Environment variable naming the engine used when an estimator is built
-#: with ``engine=None``; CI exercises the dual engine by exporting it.
+#: with ``engine=None`` (default ``"auto"``); CI runs the whole suite on the
+#: batch engine by exporting it.
 DEFAULT_ENGINE_ENV = "REPRO_DEFAULT_ENGINE"
 
 
 def resolve_engine(engine: str | None) -> str:
     """Normalise an ``engine`` parameter.
 
-    ``None`` reads :data:`DEFAULT_ENGINE_ENV` (default ``"batch"``); any
-    explicit value must be one of :data:`ENGINE_CHOICES`.  ``"auto"`` is
-    kept symbolic here and resolved against the data dimensionality at fit
-    time (:func:`effective_engine`).
+    ``None`` reads :data:`DEFAULT_ENGINE_ENV` and falls back to ``"auto"``
+    (the dual-tree engine up to :data:`AUTO_DUAL_MAX_DIM` dimensions, batch
+    above); any explicit value must be one of :data:`ENGINE_CHOICES`.
+    ``"auto"`` is kept symbolic here and resolved against the data
+    dimensionality at fit time (:func:`effective_engine`).
     """
     if engine is None:
-        engine = os.environ.get(DEFAULT_ENGINE_ENV) or "batch"
+        engine = os.environ.get(DEFAULT_ENGINE_ENV) or "auto"
     if engine not in ENGINE_CHOICES:
         raise ValueError(
             f"engine must be one of {ENGINE_CHOICES}, got {engine!r}"
@@ -175,7 +177,7 @@ class DensityPeaksBase(abc.ABC):
         resolves per fit from the data dimensionality (dual up to
         ``AUTO_DUAL_MAX_DIM`` dimensions, batch above).  ``None`` (the
         default) reads the ``REPRO_DEFAULT_ENGINE`` environment variable
-        and falls back to ``"batch"``.  All engines produce bit-for-bit
+        and falls back to ``"auto"``.  All engines produce bit-for-bit
         identical densities, dependencies and labels (property-tested);
         baselines that have no batch/dual kernels simply ignore the flag.
     dual_frontier:
@@ -685,22 +687,15 @@ class DensityPeaksBase(abc.ABC):
     def _dual_density_vs_tree(self, tree, queries: np.ndarray) -> np.ndarray:
         """Dual-tree join of out-of-sample ``queries`` against the fitted tree.
 
-        Builds a throwaway kd-tree over the queries (same storage dtype) and
-        runs one simultaneous traversal instead of per-chunk batch counts;
-        the result is bit-for-bit identical to the batch path.  Driver-side
-        on every backend, so results and work counters are
-        backend-independent.
+        Builds a throwaway kd-tree over the queries (same storage dtype,
+        leaves sized to the batch: :meth:`KDTree.for_queries`) and runs one
+        simultaneous traversal instead of per-chunk batch counts; the result
+        is bit-for-bit identical to the batch path.  Driver-side on every
+        backend, so results and work counters are backend-independent.
         """
         from repro.index.kdtree import KDTree
-        from repro.utils.counters import WorkCounter
 
-        query_tree = KDTree(
-            queries,
-            leaf_size=tree.leaf_size,
-            counter=WorkCounter(),
-            dtype=tree.dtype_name,
-            kernel=tree.kernel_name,
-        )
+        query_tree = KDTree.for_queries(queries, tree)
         return tree.range_count_dual_vs(query_tree, self.d_cut, strict=True)
 
     def _predict_density(self, queries: np.ndarray, executor) -> np.ndarray:

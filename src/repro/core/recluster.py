@@ -247,7 +247,12 @@ class ReclusterIndex:
         tree = model._predict_tree()
         if tree is None:
             raise ValueError("the model has no fitted kd-tree to recluster over")
-        self._model = model
+        # What re-clustering needs of the model, copied rather than a
+        # reference to it: the model caches its index, and a back-reference
+        # would make the pair a cycle only the cyclic GC could free.
+        self._params = dict(model.get_params())
+        self._algorithm = model.algorithm_name
+        self._dual_frontier = getattr(model, "dual_frontier", None)
         self._tree = tree
         self._points = np.asarray(model._fit_points_, dtype=np.float64)
         self.d_cut_max = float(check_positive(float(d_cut_max), "d_cut_max"))
@@ -538,7 +543,6 @@ class ReclusterIndex:
         to :func:`nearest_denser_join` for the points the profiles cannot
         decide.  Returns ``(dependent, delta, n_changed, n_joined)``.
         """
-        model = self._model
         indptr = self._indptr
         join_ids = self._join_ids
         total = join_ids.shape[0]
@@ -640,7 +644,7 @@ class ReclusterIndex:
         ``(squared distance, index)`` tie-break, so the combined answer is
         bit-identical to a cold fit's dependency phase.
         """
-        model = self._model
+        params = self._params
         n = rho.shape[0]
         dep_out = np.full(join_rows.shape[0], -1, dtype=np.intp)
         delta_out = np.full(join_rows.shape[0], np.inf)
@@ -688,7 +692,7 @@ class ReclusterIndex:
         if overflow_sel.size:
             overflow_rows = join_rows[np.sort(overflow_sel)]
             seed_idx, seed_sq = self._join_seeds(overflow_rows, rho)
-            executor = ParallelExecutor(model.n_jobs, backend=model.backend)
+            executor = ParallelExecutor(params["n_jobs"], backend=params["backend"])
             try:
                 # The dual engine serves the overflow regardless of the
                 # model's fit engine: every join engine is bit-identical per
@@ -702,8 +706,8 @@ class ReclusterIndex:
                     counter=self._counter,
                     query_indices=overflow_rows,
                     tree=self._tree,
-                    leaf_size=getattr(model, "leaf_size", 32),
-                    frontier_target=getattr(model, "dual_frontier", None),
+                    leaf_size=params.get("leaf_size", 32),
+                    frontier_target=self._dual_frontier,
                     seed_dependent=seed_idx,
                     seed_delta_sq=seed_sq,
                 )
@@ -766,7 +770,6 @@ class ReclusterIndex:
         per-point arrays equal a cold ``fit`` at the same parameters bit for
         bit; the index and the fitted model are left untouched.
         """
-        model = self._model
         d_cut = self.d_cut_fit if d_cut is None else check_positive(float(d_cut), "d_cut")
         if rho_min is not None:
             rho_min = check_non_negative(rho_min, "rho_min")
@@ -826,7 +829,7 @@ class ReclusterIndex:
         dependent_raw = dependent.copy()
         dependent[centers] = -1  # a center's dependent point is itself (§2.1)
 
-        params: dict[str, Any] = dict(model.get_params())
+        params: dict[str, Any] = dict(self._params)
         params.update(
             {
                 "d_cut": d_cut,
@@ -850,6 +853,6 @@ class ReclusterIndex:
             work_=work,
             memory_bytes_=self.memory_bytes(),
             params_=params,
-            algorithm_=model.algorithm_name,
+            algorithm_=self._algorithm,
             dependent_raw_=dependent_raw,
         )

@@ -28,9 +28,12 @@ representative point per cell:
 Larger ``epsilon`` means fewer cells, fewer range searches, and a coarser
 result (Table 5); ``epsilon -> 0`` degenerates towards Approx-DPC's grid.
 
-With the default ``engine="batch"``, the per-cell range searches and the
+With ``engine="batch"`` (what the default ``engine="auto"`` resolves to above
+``AUTO_DUAL_MAX_DIM`` dimensions), the per-cell range searches and the
 partitioned exact fallback are issued as chunked vectorised batch queries
-that produce results identical to the scalar per-cell code.
+that produce results identical to the scalar per-cell code; on
+low-dimensional data ``"auto"`` runs them as dual-tree joins instead, again
+with identical results.
 """
 
 from __future__ import annotations

@@ -218,6 +218,28 @@ _DUAL_BLOCK = 32
 #: join.
 _NN_SEED_LEVELS = (1, 8, 64)
 
+#: Data points per merge of the seeding pyramid's exact step (queries denser
+#: than their whole largest home region are resolved against every point,
+#: streamed in chunks of this many so the transient block stays bounded).
+_NN_EXACT_CHUNK = 4096
+
+
+#: Queries per leaf-size unit of a vs-join's throwaway query tree: batches
+#: under this many queries get single-point leaves (see query_leaf_size).
+_QUERY_LEAF_DIVISOR = 64
+
+
+def query_leaf_size(n_queries: int, leaf_size: int) -> int:
+    """Leaf size of the throwaway query tree of a vs-join over ``n_queries``.
+
+    A function of the batch size alone: ``n_queries // 64`` clamped to
+    ``[1, leaf_size]``.  Small batches are sparse relative to the data they
+    are joined against, so their query leaves must be small for the query
+    boxes to stay tight; large batches keep ``leaf_size`` (finer leaves
+    there save distance calcs but cost more in node-pair bookkeeping).
+    """
+    return max(1, min(int(leaf_size), int(n_queries) // _QUERY_LEAF_DIVISOR))
+
 
 def check_storage_dtype(dtype) -> np.dtype:
     """Normalise a point-storage ``dtype`` parameter to a numpy dtype.
@@ -496,17 +518,23 @@ def _build_tree_arrays(points: np.ndarray, leaf_size: int) -> KDTreeArrays:
     stop = np.zeros(capacity, dtype=np.intp)
     indices = np.arange(n, dtype=np.intp)
 
+    # Preorder allocation with an explicit stack (a recursive closure would
+    # reference itself through its cell, a cycle that keeps the untrimmed
+    # preallocations alive until the cyclic GC runs).  The left child is
+    # pushed last, so its whole subtree is numbered before the right one.
     n_nodes = 0
-
-    def build(lo: int, hi: int) -> int:
-        nonlocal n_nodes
+    stack = [(0, n, -1, left)]
+    while stack:
+        lo, hi, parent, side = stack.pop()
         node = n_nodes
         n_nodes += 1
+        if parent >= 0:
+            side[parent] = node
+        start[node] = lo
+        stop[node] = hi
         count = hi - lo
         if count <= leaf_size:
-            start[node] = lo
-            stop[node] = hi
-            return node
+            continue
 
         subset = indices[lo:hi]
         coords = points[subset]
@@ -514,25 +542,16 @@ def _build_tree_arrays(points: np.ndarray, leaf_size: int) -> KDTreeArrays:
         dim = int(np.argmax(spreads))
         if spreads[dim] == 0.0:
             # All points identical along every axis: keep them in one leaf to
-            # avoid infinite recursion on duplicate-heavy data.
-            start[node] = lo
-            stop[node] = hi
-            return node
+            # avoid infinite splitting on duplicate-heavy data.
+            continue
 
         mid = count // 2
         order = np.argpartition(coords[:, dim], mid)
         indices[lo:hi] = subset[order]
-        split_value = float(points[indices[lo + mid], dim])
-
         split_dim[node] = dim
-        split_val[node] = split_value
-        start[node] = lo
-        stop[node] = hi
-        left[node] = build(lo, lo + mid)
-        right[node] = build(lo + mid, hi)
-        return node
-
-    build(0, n)
+        split_val[node] = float(points[indices[lo + mid], dim])
+        stack.append((lo + mid, hi, node, right))
+        stack.append((lo, lo + mid, node, left))
 
     # Bounding boxes, bottom-up: leaves take the coordinate-wise extrema of
     # their (now final) bucket slice; internal nodes merge their children.
@@ -634,6 +653,8 @@ class KDTree:
         self._bbox_min_arr = arrays.bbox_min
         self._bbox_max_arr = arrays.bbox_max
         self._root = 0
+        # Query trees of vs-joins (for_queries) are terminal at leaves only.
+        self._leaf_terminals = False
         # Leaf-contiguous point copy of the dual-tree engine; materialised
         # once per tree, on first use (see points_ordered).
         self._ordered_cache: np.ndarray | None = None
@@ -647,6 +668,30 @@ class KDTree:
         # (_density_bounds) and query-side minima (_query_density_bounds).
         self._density_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._q_density_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def for_queries(
+        cls, queries, like: "KDTree", *, dtype: str | None = None
+    ) -> "KDTree":
+        """Throwaway query-side tree of a vs-join against ``like``.
+
+        The leaf size follows the batch size (:func:`query_leaf_size`) and
+        only leaves are terminal, so a small batch splits down to tight
+        boxes instead of joining one domain-wide node against every nearby
+        data leaf.  The kernel tier is ``like``'s; the storage dtype is
+        ``like``'s unless given.  Results of every join are unchanged --
+        only the node pairs visited and the distance calcs differ.
+        """
+        queries = check_points(queries, name="queries")
+        tree = cls(
+            queries,
+            leaf_size=query_leaf_size(queries.shape[0], like.leaf_size),
+            counter=WorkCounter(),
+            dtype=like.dtype_name if dtype is None else dtype,
+            kernel=like.kernel_name,
+        )
+        tree._leaf_terminals = True
+        return tree
 
     @classmethod
     def from_arrays(
@@ -1434,12 +1479,14 @@ class KDTree:
         """Per-node flag: the dual traversal stops descending here.
 
         A node is terminal when it is a leaf or holds at most ``_DUAL_BLOCK``
-        points; a pair of terminal nodes runs one blocked kernel over its two
+        points (leaves only for query trees built by :meth:`for_queries`); a
+        pair of terminal nodes runs one blocked kernel over its two
         contiguous slices.
         """
         if self._terminal_cache is None:
+            block = 0 if self._leaf_terminals else _DUAL_BLOCK
             self._terminal_cache = (self._left_arr == _NO_CHILD) | (
-                self._stop_arr - self._start_arr <= _DUAL_BLOCK
+                self._stop_arr - self._start_arr <= block
             )
         return self._terminal_cache
 
@@ -2480,8 +2527,9 @@ class KDTree:
         # lex comparisons, so seeding can only tighten, never change, the
         # final answer).  Queries denser than their entire largest home
         # region are resolved exactly against the full point set -- their
-        # count shrinks geometrically with the region size, so the brute
-        # block stays tiny.  Every step is per-query deterministic, which
+        # count shrinks geometrically with the region size, and the points
+        # stream past them in _NN_EXACT_CHUNK slices, so the transient block
+        # stays bounded.  Every step is per-query deterministic, which
         # keeps results *and* work counters invariant under q_nodes chunking.
         needs = covered[~hopeless[covered]]
         if seed_idx is not None:
@@ -2497,17 +2545,19 @@ class KDTree:
             )
             needs = needs[best_idx[needs] < 0]
         if needs.size:
-            self._nn_merge_groups(
-                qt,
-                needs,
-                np.asarray([needs.size], dtype=np.intp),
-                np.arange(self._n, dtype=np.intp),
-                np.asarray([self._n], dtype=np.intp),
-                rho_pos,
-                rho_q_pos,
-                best_sq,
-                best_idx,
-            )
+            for lo in range(0, self._n, _NN_EXACT_CHUNK):
+                hi = min(lo + _NN_EXACT_CHUNK, self._n)
+                self._nn_merge_groups(
+                    qt,
+                    needs,
+                    np.asarray([needs.size], dtype=np.intp),
+                    np.arange(lo, hi, dtype=np.intp),
+                    np.asarray([hi - lo], dtype=np.intp),
+                    rho_pos,
+                    rho_q_pos,
+                    best_sq,
+                    best_idx,
+                )
 
         # ---- simultaneous pair traversal.
         a_min, a_max = qt._pruning_bbox

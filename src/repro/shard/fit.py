@@ -109,6 +109,21 @@ def _elementwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pair_distances_sq(a[:, None, :], b[:, None, :])[:, 0, 0]
 
 
+def _box_reach_sq(
+    points: np.ndarray, bbox: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Squared distance from each float64 point to a shard's bounding box.
+
+    ``squared_norms`` rounds no higher than the canonical pair distance to
+    any point inside the box, so pruning a box whose reach is *strictly*
+    greater than a current best is float-safe; a box tying the best is kept
+    because a smaller global index inside it could still win the lex tie.
+    """
+    bbox_min, bbox_max = bbox
+    gap = np.maximum(bbox_min[None, :] - points, points - bbox_max[None, :])
+    return squared_norms(np.maximum(gap, 0.0))
+
+
 class ShardedDPC(ExDPC):
     """Ex-DPC over kd-plane shards with halo exchange (out-of-core fit).
 
@@ -690,23 +705,18 @@ class ShardedDPC(ExDPC):
             sub = members_a[rho[members_a] < rho_max[b]]
             if sub.size == 0:
                 continue
-            bbox_min, bbox_max = self._shard_bbox[b]
-            sub_points = np.asarray(points[sub], dtype=np.float64)
-            gap = np.maximum(
-                np.maximum(bbox_min[None, :] - sub_points, sub_points - bbox_max[None, :]),
-                0.0,
+            reach = _box_reach_sq(
+                np.asarray(points[sub], dtype=np.float64), self._shard_bbox[b]
             )
-            # squared_norms rounds no higher than the canonical pair
-            # distance, so pruning on strictly-greater is float-safe; a
-            # box tying the current best is kept because a smaller
-            # global index inside it could still win the lex tie.
-            reach = squared_norms(gap)
             keep = reach <= best_sq[sub]
             sub = sub[keep]
             if sub.size == 0:
                 continue
             members_b = plan.members[b]
             tree_b = tree_for(b)
+            # Fitted points are as dense as the shard they come from, so the
+            # fit's own leaf size keeps their boxes tight (KDTree.for_queries
+            # sizes trees for sparse out-of-sample batches instead).
             query_tree = KDTree(
                 np.asarray(points[sub], dtype=np.float64),
                 leaf_size=self.leaf_size,
@@ -798,13 +808,7 @@ class ShardedDPC(ExDPC):
             return np.zeros(0, dtype=np.float64)
         counts = np.zeros(n_q, dtype=np.float64)
         if self.engine_ == "dual":
-            query_tree = KDTree(
-                queries,
-                leaf_size=self.leaf_size,
-                counter=WorkCounter(),
-                dtype=self.dtype,
-                kernel=self._shard_trees[0].kernel_name,
-            )
+            query_tree = KDTree.for_queries(queries, self._shard_trees[0])
             for tree in self._shard_trees:
                 counts += tree.range_count_dual_vs(
                     query_tree, self.d_cut, strict=True
@@ -839,27 +843,41 @@ class ShardedDPC(ExDPC):
             best_sq[hit] = cand_sq[better]
 
         if self.engine_ == "dual":
-            # One float64 query tree joined against every shard; the merge
-            # key is the canonical float64 distance, exactly the quantity
-            # the single-tree dual attach ranks by.
-            query_tree = KDTree(
-                queries,
-                leaf_size=self.leaf_size,
-                counter=WorkCounter(),
-                kernel=self._shard_trees[0].kernel_name,
+            # Each query joins its home shard (nearest box) first, then only
+            # the shards whose box can still beat or index-tie its best, as
+            # in the fit's cross pass.  The merge key is the canonical
+            # float64 distance the single-tree dual attach ranks by, and the
+            # merges are exact, so the visiting order cannot change a result.
+            reach = np.column_stack(
+                [_box_reach_sq(queries, box) for box in self._shard_bbox]
             )
-            for shard, tree in enumerate(self._shard_trees):
-                members = plan.members[shard]
-                idx, _ = tree.nn_dual_vs(query_tree, rho_train[members], rho_q)
-                found = np.flatnonzero(idx >= 0)
-                if found.size == 0:
-                    continue
-                targets_g = members[idx[found]]
-                cand_sq = _elementwise_sq(
-                    queries[found],
-                    np.asarray(self._fit_points_[targets_g], dtype=np.float64),
-                )
-                merge(found, targets_g, cand_sq)
+            home = np.argmin(reach, axis=1)
+            for home_pass in (True, False):
+                for shard, tree in enumerate(self._shard_trees):
+                    if home_pass:
+                        rows = np.flatnonzero(home == shard)
+                    else:
+                        rows = np.flatnonzero(
+                            (home != shard) & (reach[:, shard] <= best_sq)
+                        )
+                    if rows.size == 0:
+                        continue
+                    members = plan.members[shard]
+                    query_tree = KDTree.for_queries(
+                        queries[rows], tree, dtype="float64"
+                    )
+                    idx, _ = tree.nn_dual_vs(
+                        query_tree, rho_train[members], rho_q[rows]
+                    )
+                    found = np.flatnonzero(idx >= 0)
+                    if found.size == 0:
+                        continue
+                    targets_g = members[idx[found]]
+                    cand_sq = _elementwise_sq(
+                        queries[rows[found]],
+                        np.asarray(self._fit_points_[targets_g], dtype=np.float64),
+                    )
+                    merge(rows[found], targets_g, cand_sq)
         else:
             # Batch/scalar rank by the *storage-dtype* squared distance (the
             # kNN frontier's own key), so the merge recomputes it in storage

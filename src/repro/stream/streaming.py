@@ -101,9 +101,10 @@ class StreamingDPC:
     repair_chunk:
         Dirty points processed per vectorised repair block.
     engine:
-        Query engine of the wrapped Ex-DPC (``"scalar"``, ``"batch"`` or
-        ``"dual"``; ``None`` reads ``REPRO_DEFAULT_ENGINE``).  With
-        ``"dual"`` the amortized rebuilds run the density phase as a
+        Query engine of the wrapped Ex-DPC (``"scalar"``, ``"batch"``,
+        ``"dual"`` or ``"auto"``; ``None`` reads ``REPRO_DEFAULT_ENGINE``
+        and falls back to ``"auto"``, which is dual up to 5 dimensions).
+        With ``"dual"`` the amortized rebuilds run the density phase as a
         dual-tree self-join and :meth:`predict` joins new points against the
         window tree with one simultaneous traversal -- results are
         bit-for-bit identical on every engine.
@@ -587,7 +588,7 @@ class StreamingDPC:
     # ----------------------------------------------------------------- rebuild
 
     def _rebuild(self) -> None:
-        """Amortized full rebuild: cold-fit the window through the batch engine."""
+        """Amortized full rebuild: cold-fit the window through the stream's engine."""
         n = self._n
         base_points = self._points[:n].copy()
         model = self._make_estimator()

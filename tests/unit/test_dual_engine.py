@@ -45,10 +45,30 @@ class TestEngineValidation:
         monkeypatch.setenv(DEFAULT_ENGINE_ENV, "dual")
         assert ExDPC(d_cut=1.0, n_clusters=2).engine == "dual"
         monkeypatch.delenv(DEFAULT_ENGINE_ENV)
-        assert ExDPC(d_cut=1.0, n_clusters=2).engine == "batch"
+        assert ExDPC(d_cut=1.0, n_clusters=2).engine == "auto"
         # Explicit argument wins over the environment.
         monkeypatch.setenv(DEFAULT_ENGINE_ENV, "dual")
         assert ExDPC(d_cut=1.0, n_clusters=2, engine="scalar").engine == "scalar"
+
+    def test_default_engine_resolves_by_dimension(self, monkeypatch):
+        monkeypatch.delenv(DEFAULT_ENGINE_ENV, raising=False)
+        low = ExDPC(d_cut=30.0, n_clusters=2)
+        low.fit(_random_points(80, 2))
+        assert low.engine == "auto" and low.engine_ == "dual"
+        high = ExDPC(d_cut=30.0, n_clusters=2)
+        high.fit(_random_points(80, 6))
+        assert high.engine == "auto" and high.engine_ == "batch"
+
+    def test_auto_engine_snapshot_round_trips(self, monkeypatch, tmp_path):
+        monkeypatch.delenv(DEFAULT_ENGINE_ENV, raising=False)
+        points = _blobs()
+        model = ExDPC(d_cut=4_000.0, n_clusters=3)
+        result = model.fit(points)
+        restored = load_model(save_model(model, tmp_path / "model.npz"))
+        assert restored.engine == "auto"
+        assert restored.get_params()["engine"] == "auto"
+        assert restored.engine_ == "dual"
+        np.testing.assert_array_equal(restored.predict(points), result.labels_)
 
     def test_estimators_report_engine_and_dtype(self):
         for cls, extra in (
