@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.bench import load_workload, print_table
 from repro.core import ApproxDPC
-from repro.core.exact_dependency import solve_partition_count
+from repro.core.dependency_join import solve_partition_count
 
 PARTITION_COUNTS = (2, 4, 8, 16, 32, None)  # None = Equation (2)
 

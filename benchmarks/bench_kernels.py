@@ -1,4 +1,4 @@
-"""Microbenchmark: the blocked kernel tiers (numpy / numba / cupy).
+"""Microbenchmark: the blocked kernel tiers (numpy / numba).
 
 Two levels of measurement, both for every tier installed in this
 environment (``repro.kernels.available_kernels()``; request a subset with

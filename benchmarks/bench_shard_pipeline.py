@@ -1,23 +1,25 @@
-"""Pipelined sharded fit vs the sequential shard driver, under a budget.
+"""Sharded fit under three pipeline schedules: serial, overlapped, budgeted.
 
-The stage-pipelined scheduler (:mod:`repro.shard.pipeline`) overlaps the
-build / density / halo / dependency stages of *different* shards whenever
-the memory-accounting model says the live set fits
-``memory_budget_bytes``.  This bench fits the same clustered dataset three
-ways --
+The sharded fit's one driver, the stage pipeline (:mod:`repro.shard.pipeline`),
+runs the build / density / halo / dependency stages of the shards on
+``pipeline_workers`` threads (one by default without a budget), overlapping
+stages of *different* shards -- under ``memory_budget_bytes`` only while the
+memory-accounting model says the live set fits the budget.
+This bench fits the same clustered dataset three ways --
 
-* **sequential**: the shard-at-a-time driver (``pipeline=False``),
-* **pipelined**: the stage DAG with no budget (all shards resident), and
-* **budgeted**: the stage DAG at the *minimum feasible* budget, which
-  degenerates to one shard resident at a time with spill-to-disk between
-  the local and cross passes --
+* **serial**: one stage at a time (``pipeline_workers=1``, no budget),
+* **pipelined**: two workers with no budget (all shards resident), and
+* **budgeted**: the default worker count at the *minimum feasible* budget,
+  which degenerates to one shard resident at a time with spill-to-disk
+  between the local and cross passes --
 
-and verifies all three produce bit-identical fitted arrays (and identical
-work counters) before reporting wall times and the tracked memory peaks.
+and verifies all three produce fitted arrays bit-identical to single-tree
+``ExDPC`` (and identical work counters across the three) before reporting
+wall times and the tracked memory peaks.
 
-``--check`` gates on **bit-identity and budget compliance only** -- never on
-wall-clock ratios, because the CI runner is a single-CPU box where stage
-overlap cannot pay.  The run appends ``phase="shard"`` rows (wall seconds,
+``--check`` gates on **bit-identity, work counters and budget compliance**
+-- never on wall-clock ratios, because the CI runner is a single-CPU box
+where stage overlap cannot pay.  The run appends ``phase="shard"`` rows (wall seconds,
 peak tracked bytes, budget, stage counts) to the repo-root perf-trajectory
 file via ``merge_trajectory``.
 
@@ -47,6 +49,7 @@ DEFAULT_N = 4000
 DEFAULT_DIM = 2
 DEFAULT_SHARDS = 4
 EXTENT = 100.0
+MODES = ("serial", "pipelined", "budgeted")
 
 
 def make_points(n: int, dim: int, seed: int) -> np.ndarray:
@@ -86,7 +89,7 @@ def run_bench(
     n_shards: int = DEFAULT_SHARDS,
     seed: int = 0,
 ) -> dict:
-    """Fit sequential / pipelined / budgeted and compare bit for bit."""
+    """Fit serial / pipelined / budgeted and compare bit for bit."""
     points = make_points(n, dim, seed)
     plan = plan_shards(points, n_shards)
     budget = minimum_budget_bytes(plan.shard_sizes, dim, "float64", 32)
@@ -95,8 +98,8 @@ def run_bench(
     ref_result = reference.fit(points)
 
     runs = {
-        "sequential": fit_once(points, n_shards, pipeline=False),
-        "pipelined": fit_once(points, n_shards, pipeline=True),
+        "serial": fit_once(points, n_shards, pipeline_workers=1),
+        "pipelined": fit_once(points, n_shards, pipeline_workers=2),
         "budgeted": fit_once(points, n_shards, memory_budget_bytes=budget),
     }
 
@@ -111,8 +114,8 @@ def run_bench(
         )
     )
     work_identical = (
-        runs["pipelined"]["work"] == runs["sequential"]["work"]
-        and runs["budgeted"]["work"] == runs["sequential"]["work"]
+        runs["pipelined"]["work"] == runs["serial"]["work"]
+        and runs["budgeted"]["work"] == runs["serial"]["work"]
     )
     budget_stats = runs["budgeted"]["stats"]
     budget_ok = 0 < budget_stats["peak_rss_bytes"] <= budget
@@ -132,20 +135,17 @@ def run_bench(
         payload[mode] = {
             "wall_s": run["wall_s"],
             "peak_rss_bytes": int(stats["peak_rss_bytes"]),
-            "pipelined": bool(stats["pipelined"]),
+            "n_stages": stats["pipeline"]["n_stages"],
+            "workers": stats["pipeline"]["workers"],
+            "spilled_shards": len(stats["pipeline"]["spilled"]),
         }
-        report = stats.get("pipeline")
-        if report:
-            payload[mode]["n_stages"] = report["n_stages"]
-            payload[mode]["workers"] = report["workers"]
-            payload[mode]["spilled_shards"] = len(report["spilled"])
     return payload
 
 
 def shard_trajectory(payload: dict) -> dict:
     """``phase -> key -> record`` rows for ``merge_trajectory``."""
     rows = {}
-    for mode in ("sequential", "pipelined", "budgeted"):
+    for mode in MODES:
         record = payload[mode]
         rows[mode] = {
             "n": payload["n"],
@@ -154,9 +154,7 @@ def shard_trajectory(payload: dict) -> dict:
             "peak_rss_bytes": record["peak_rss_bytes"],
         }
     rows["budgeted"]["budget_bytes"] = payload["budget_bytes"]
-    rows["budgeted"]["spilled_shards"] = payload["budgeted"].get(
-        "spilled_shards", 0
-    )
+    rows["budgeted"]["spilled_shards"] = payload["budgeted"]["spilled_shards"]
     return {"shard": rows}
 
 
@@ -171,8 +169,9 @@ def main() -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless all drivers are bit-identical and the "
-        "budgeted run stayed under its budget (wall-clock is never gated)",
+        help="exit nonzero unless all schedules are bit-identical to ExDPC, "
+        "their work counters agree and the budgeted run stayed under its "
+        "budget (wall-clock is never gated)",
     )
     parser.add_argument("--json", default=None, help="write the payload as JSON here")
     parser.add_argument(
@@ -189,13 +188,13 @@ def main() -> int:
         f"sharded fit: n={args.n} x {args.n_shards} shards",
         [
             {
-                "driver": mode,
+                "schedule": mode,
                 "wall (s)": payload[mode]["wall_s"],
                 "peak tracked (bytes)": payload[mode]["peak_rss_bytes"],
-                "stages": payload[mode].get("n_stages", "-"),
-                "spilled": payload[mode].get("spilled_shards", 0),
+                "stages": payload[mode]["n_stages"],
+                "spilled": payload[mode]["spilled_shards"],
             }
-            for mode in ("sequential", "pipelined", "budgeted")
+            for mode in MODES
         ],
     )
     print(f"bit-identical          : {payload['bit_identical']}")

@@ -1,10 +1,13 @@
 """Ex-DPC: the exact density-peaks clustering algorithm of §3.
 
 Local densities are computed with one kd-tree range count per point
-(``O(n(n^{1-1/d} + rho_avg))`` under Assumption 1); with the default
-``engine="batch"`` the counts are issued as chunked vectorised batch queries
-(:meth:`repro.index.kdtree.KDTree.range_count_batch`) that produce identical
-results.
+(``O(n(n^{1-1/d} + rho_avg))`` under Assumption 1).  The default
+``engine="auto"`` resolves per fit by dimension: ``"dual"`` up to
+``AUTO_DUAL_MAX_DIM`` (5) dimensions, where the counts come from one
+dual-tree self-join (:meth:`repro.index.kdtree.KDTree.range_count_dual`),
+and ``"batch"`` above, where they are issued as chunked vectorised batch
+queries (:meth:`repro.index.kdtree.KDTree.range_count_batch`).  Every engine
+produces identical results.
 
 Dependent points are computed exactly; the strategy follows the engine:
 

@@ -194,9 +194,8 @@ class DensityPeaksBase(abc.ABC):
         restored models stay counter-deterministic.
     kernel:
         Blocked distance-kernel tier of the hot paths: ``"numpy"`` (always
-        available), ``"numba"`` (JIT-compiled loops), ``"cupy"`` (CUDA), or
-        ``"auto"`` (numba when installed, else numpy; never cupy
-        implicitly).  ``None`` reads the ``REPRO_KERNEL`` environment
+        available), ``"numba"`` (JIT-compiled loops), or ``"auto"``
+        (numba when installed, else numpy).  ``None`` reads the ``REPRO_KERNEL`` environment
         variable and falls back to ``"auto"``.  Every tier produces
         bit-identical results and work counters (property-tested), so the
         choice is purely a performance knob; requesting a tier whose

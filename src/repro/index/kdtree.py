@@ -604,8 +604,8 @@ class KDTree:
         the scalar, batch and dual engines at either precision).
     kernel:
         Kernel tier executing the blocked distance kernels:
-        ``"numpy"`` (always available), ``"numba"`` / ``"cupy"`` (optional,
-        compiled/device implementations of the same ABI) or ``"auto"``
+        ``"numpy"`` (always available), ``"numba"`` (optional, a compiled
+        implementation of the same ABI) or ``"auto"``
         (numba when installed, else numpy).  ``None`` (default) reads the
         ``REPRO_KERNEL`` environment variable.  Every tier produces
         bit-identical results and work counters (see :mod:`repro.kernels`

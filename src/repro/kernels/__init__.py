@@ -34,9 +34,9 @@ without breaking the cross-engine equivalence guarantees.  (A plain
 ``np.einsum`` reduction is *not* bit-compatible with a compiled loop at
 ``d >= 3``: its SIMD pairwise partial sums reassociate the additions.)
 
-The numba and cupy tiers are strictly optional: importing this package
-never imports them, ``"auto"`` falls back to numpy when numba is missing,
-and requesting an unavailable tier explicitly raises a clear error.
+The numba tier is strictly optional: importing this package never imports
+it, ``"auto"`` falls back to numpy when numba is missing, and requesting it
+explicitly without numba installed raises a clear error.
 """
 
 from __future__ import annotations
@@ -60,12 +60,10 @@ __all__ = [
 #: Concrete kernel tiers, in shared-memory packing order (a fitted tree's
 #: effective tier ships to process-backend workers as an index into this
 #: tuple, so the workers run the exact tier the driver resolved).
-KERNEL_TIERS = ("numpy", "numba", "cupy")
+KERNEL_TIERS = ("numpy", "numba")
 
 #: Accepted values of the ``kernel`` parameter: the concrete tiers plus
-#: ``"auto"`` (numba when importable, else numpy; cupy is never chosen
-#: implicitly because host<->device transfer only pays off on workloads the
-#: caller should opt into).
+#: ``"auto"`` (numba when importable, else numpy).
 KERNEL_CHOICES = KERNEL_TIERS + ("auto",)
 
 #: Environment variable naming the kernel tier used when an estimator or
@@ -97,11 +95,9 @@ def resolve_kernel(kernel: str | None) -> str:
 
 def available_kernels() -> tuple[str, ...]:
     """Concrete tiers importable in this environment (numpy always is)."""
-    tiers = ["numpy"]
-    for name, module in (("numba", "numba"), ("cupy", "cupy")):
-        if importlib.util.find_spec(module) is not None:
-            tiers.append(name)
-    return tuple(tiers)
+    if importlib.util.find_spec("numba") is not None:
+        return ("numpy", "numba")
+    return ("numpy",)
 
 
 def effective_kernel(kernel: str | None) -> str:

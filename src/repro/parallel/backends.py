@@ -336,7 +336,7 @@ def kernel_dual_nn(ctx, payload, chunk):
 def kernel_partitioned_dependency(ctx, payload, chunk):
     """Exact dependency fallback: batch queries on a per-worker rebuilt searcher.
 
-    The :class:`~repro.core.exact_dependency.PartitionedDependencySearcher`
+    The :class:`~repro.core.dependency_join.PartitionedDependencySearcher`
     is deterministic in its inputs, so instead of pickling its per-partition
     kd-trees the worker rebuilds it once (cached per phase token) from the
     shared points plus the small pickled parameters, and answers every chunk
@@ -344,7 +344,7 @@ def kernel_partitioned_dependency(ctx, payload, chunk):
     """
 
     def build():
-        from repro.core.exact_dependency import PartitionedDependencySearcher
+        from repro.core.dependency_join import PartitionedDependencySearcher
 
         return PartitionedDependencySearcher(
             ctx.points,

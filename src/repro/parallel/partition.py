@@ -93,8 +93,10 @@ def partition_imbalance(costs, assignments) -> float:
     loads = np.asarray(
         [float(costs[np.asarray(tasks, dtype=np.intp)].sum()) for tasks in assignments]
     )
-    total = loads.sum()
-    if total <= 0.0:
+    # Loads scaled by the peak lie in [0, 1]: their sum can neither overflow
+    # for huge loads nor underflow to zero for subnormal ones, as the mean can.
+    peak = loads.max(initial=0.0)
+    scaled_total = (loads / peak).sum() if peak > 0.0 else 0.0
+    if scaled_total <= 0.0:
         return 1.0
-    mean = total / len(loads)
-    return float(loads.max() / mean)
+    return float(len(loads) / scaled_total)

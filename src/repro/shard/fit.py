@@ -2,14 +2,14 @@
 
 :class:`ShardedDPC` runs the exact Ex-DPC lifecycle over ``n_shards``
 disjoint shards cut along the kd-tree's own top split planes
-(:func:`repro.shard.partition.plan_shards`) so that no process ever maps
-more than one shard's shared-memory segment:
+(:func:`repro.shard.partition.plan_shards`) so that every tree and
+shared-memory segment holds one shard, not the whole dataset:
 
 1. **Density** -- each shard runs its own dual/batch/scalar self-count over
    its own kd-tree, executed through a *per-shard* executor and (under the
    process backend) a per-shard :class:`~repro.parallel.shm.SharedArrayBundle`
-   that is unlinked before the next shard starts, so peak per-process shared
-   memory is bounded by the largest shard, not by ``n``.  Cross-border pairs
+   that is unlinked when its stage ends, so the largest segment is bounded
+   by the largest shard, not by ``n``.  Cross-border pairs
    are then repaired by *halo exchange*: for every ordered shard pair the
    querying shard's slab of points within ``d_cut`` of the separating plane
    (:func:`repro.shard.partition.slab_indices`) is counted against the
@@ -29,15 +29,14 @@ more than one shard's shared-memory segment:
    ``(rho_, delta_, labels_)`` is bit-identical to a single-shard fit.
 
 Both phases are expressed as per-shard / per-pair *building blocks*
-(:meth:`~ShardedDPC._shard_self_counts`, :meth:`~ShardedDPC._halo_pair`,
-:meth:`~ShardedDPC._local_join`, :meth:`~ShardedDPC._cross_pass_shard`) whose
-outputs combine commutatively, so two drivers share them verbatim:
-
-* the **sequential** driver below (one shard at a time, the PR 9 behavior);
-* the **pipelined** driver (:class:`repro.shard.pipeline.ShardPipeline`),
-  enabled by ``pipeline=True`` / ``memory_budget_bytes`` / streaming input,
-  which overlaps stages of different shards under a global memory budget and
-  optionally spills finished shard trees to disk (mmapped back on demand).
+(:meth:`~ShardedDPC._build_shard_tree`, :meth:`~ShardedDPC._shard_self_counts`,
+:meth:`~ShardedDPC._halo_pair`, :meth:`~ShardedDPC._local_join`,
+:meth:`~ShardedDPC._cross_pass_shard`) whose outputs combine commutatively.
+One driver runs them: :class:`repro.shard.pipeline.ShardPipeline`, a stage
+DAG on ``pipeline_workers`` threads.  Without ``memory_budget_bytes`` it
+runs one stage at a time by default; under a budget it overlaps stages of
+different shards while they fit the budget and spills finished shard trees
+to disk (mmapped back on demand).
 
 Streaming input: ``fit`` also accepts a path to a ``.npy``/``.npz`` file
 (memory-mapped, never fully materialised) or an *iterator* of ``(m, d)``
@@ -45,7 +44,7 @@ chunks (spooled once to a float64 memmap), with the shard plan computed by
 :func:`repro.shard.partition.plan_shards_streaming`.
 
 The equivalence is property-tested across ``n_shards x engine x dtype`` (and
-pipelined vs sequential vs single-tree, including work counters) in
+across budgets and worker counts, including work counters) in
 ``tests/property/test_shard_equivalence.py``.  Work counters differ from the
 single-tree fit only by documented shard-accounting deltas (halo pairs are
 counted from both sides, per-shard tree builds replace one big build); see
@@ -82,6 +81,7 @@ from repro.shard.partition import (
     separating_plane,
     slab_indices,
 )
+from repro.shard.pipeline import ShardPipeline
 from repro.stream.snapshot import load_npz_arrays
 from repro.utils.counters import WorkCounter
 from repro.utils.validation import check_positive_int
@@ -94,6 +94,10 @@ _STREAM_CHUNK_ROWS = 65536
 # Guards lazy creation of the per-estimator spool TemporaryDirectory, which
 # concurrent pipeline persist stages may request at the same time.
 _SPOOL_DIR_LOCK = threading.Lock()
+
+# Guards the read-modify-write of shard_stats_["shm_peak_bytes"], which
+# concurrent pipeline stages under the process backend update.
+_SHM_STATS_LOCK = threading.Lock()
 
 
 def _elementwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,25 +137,25 @@ class ShardedDPC(ExDPC):
         Number of shards (a power of two, at most ``n``).  ``1`` degenerates
         to a single-tree fit over one shard.  Each shard's density and
         dependency phases run over their own kd-tree, executor and (process
-        backend) shared-memory segment, so the peak per-process footprint is
-        bounded by the largest shard rather than the full dataset.
+        backend) shared-memory segment, so each is bounded by the largest
+        shard rather than the full dataset.
     memory_budget_bytes:
         Global cap on the pipeline-managed anonymous memory of the fit
         (resident shard trees + shared-memory segments + per-stage halo /
         query temporaries; *not* the O(n) result vectors or a non-streaming
-        input matrix).  Setting it enables the pipelined driver; too small a
-        budget (below the single largest shard plus its stage temporaries)
-        raises ``ValueError`` up front.  The observed peak is recorded as
+        input matrix).  ``None`` (default) keeps every shard tree resident
+        and admits stages without accounting; a budget admits stages against
+        it and spills finished shard trees to disk.  Too small a budget
+        (below the single largest shard plus its stage temporaries) raises
+        ``ValueError`` up front.  The observed peak is recorded as
         ``shard_stats_["peak_rss_bytes"]`` next to ``"budget_bytes"``.
-    pipeline:
-        ``True`` forces the stage-pipelined driver
-        (:class:`repro.shard.pipeline.ShardPipeline`), ``False`` the
-        sequential one; ``None`` (default) picks the pipeline whenever a
-        memory budget is set or the input is streamed.  Results are
-        bit-identical either way (including work counters).
     pipeline_workers:
-        Concurrent stages of the pipelined driver (default:
-        ``max(2, n_jobs)``).  Affects wall-clock only, never results.
+        Concurrent stages of the :class:`repro.shard.pipeline.ShardPipeline`
+        driver (default: ``1`` without a budget, ``max(2, n_jobs)`` under
+        one).  Without a budget, more workers are faster but nothing bounds
+        the stages' combined temporaries (under the process backend, one
+        pool and shard segment each).  Affects wall-clock and peak memory
+        only, never results.
     spool_dir:
         Directory for spilled shard archives and spooled streaming input
         (default: a private temporary directory tied to the estimator).
@@ -175,7 +179,6 @@ class ShardedDPC(ExDPC):
         *,
         n_shards: int = 2,
         memory_budget_bytes: int | None = None,
-        pipeline: bool | None = None,
         pipeline_workers: int | None = None,
         spool_dir=None,
         **kwargs,
@@ -187,12 +190,6 @@ class ShardedDPC(ExDPC):
             if memory_budget_bytes is None
             else check_positive_int(int(memory_budget_bytes), "memory_budget_bytes")
         )
-        self.pipeline = pipeline if pipeline is None else bool(pipeline)
-        if self.pipeline is False and self.memory_budget_bytes is not None:
-            raise ValueError(
-                "memory_budget_bytes requires the pipelined driver; "
-                "drop pipeline=False (or the budget)"
-            )
         self.pipeline_workers = (
             None
             if pipeline_workers is None
@@ -204,7 +201,6 @@ class ShardedDPC(ExDPC):
         params = super().get_params()
         params["n_shards"] = self.n_shards
         params["memory_budget_bytes"] = self.memory_budget_bytes
-        params["pipeline"] = self.pipeline
         return params
 
     # -------------------------------------------------------- streaming input
@@ -318,14 +314,6 @@ class ShardedDPC(ExDPC):
 
     # ------------------------------------------------------------------ index
 
-    def _pipelined(self) -> bool:
-        if self.pipeline is not None:
-            return bool(self.pipeline)
-        return (
-            self.memory_budget_bytes is not None
-            or getattr(self, "_streaming_input", False)
-        )
-
     def _build_shard_tree(self, points, members, counter) -> KDTree:
         return KDTree(
             np.asarray(points[members], dtype=np.float64),
@@ -341,26 +329,15 @@ class ShardedDPC(ExDPC):
             self._plan: ShardPlan = plan_shards_streaming(points, self.n_shards)
         else:
             self._plan = plan_shards(points, self.n_shards)
-        self._pipelined_ = self._pipelined()
         self._pipeline_outputs = None
         # Single full-dataset tree intentionally absent: nothing in the
         # sharded fit (or predict) may touch an O(n) index.
         self._tree = None
-        if self._pipelined_:
-            # Trees are built (and possibly spilled) stage by stage; the
-            # pipeline fills these in before the dependency phase returns.
-            self._shard_trees: list[KDTree | None] = [None] * self._plan.n_shards
-            self._shard_bbox: list = [None] * self._plan.n_shards
-        else:
-            self._shard_trees = [
-                self._build_shard_tree(points, members, self._counter)
-                for members in self._plan.members
-            ]
-            # Float64 per-shard bounding boxes of the cross-shard pruning test.
-            self._shard_bbox = [
-                (points[m].min(axis=0), points[m].max(axis=0))
-                for m in self._plan.members
-            ]
+        # Trees are built (and possibly spilled) stage by stage; the
+        # pipeline fills these in during the density phase.
+        self._shard_trees: list[KDTree | None] = [None] * self._plan.n_shards
+        # Float64 per-shard bounding boxes of the cross-shard pruning test.
+        self._shard_bbox: list = [None] * self._plan.n_shards
         self.shard_stats_ = {
             "n_shards": self._plan.n_shards,
             "shard_sizes": self._plan.shard_sizes.tolist(),
@@ -369,7 +346,6 @@ class ShardedDPC(ExDPC):
             "halo_credits": 0,
             "budget_bytes": self.memory_budget_bytes,
             "peak_rss_bytes": 0,
-            "pipelined": self._pipelined_,
             "streaming_input": streaming,
         }
 
@@ -411,7 +387,7 @@ class ShardedDPC(ExDPC):
         stage of the same shard starts.  ``counter`` receives the worker-side
         distance counts (default: the fit-wide counter); the pipeline passes
         its phase counters so density and dependency work stay attributed
-        exactly as in the sequential fit.
+        to the fit phase they belong to.
         """
         if counter is None:
             counter = self._counter
@@ -428,9 +404,10 @@ class ShardedDPC(ExDPC):
                 bundle_box[0] = SharedArrayBundle.create(pack_tree_arrays(tree))
                 stats = getattr(self, "shard_stats_", None)
                 if stats is not None:
-                    stats["shm_peak_bytes"] = max(
-                        stats["shm_peak_bytes"], bundle_box[0].nbytes
-                    )
+                    with _SHM_STATS_LOCK:
+                        stats["shm_peak_bytes"] = max(
+                            stats["shm_peak_bytes"], bundle_box[0].nbytes
+                        )
             return ChunkTask(
                 kernel=kernel,
                 spec=bundle_box[0].spec,
@@ -570,49 +547,12 @@ class ShardedDPC(ExDPC):
         return members_a[slab_a], credits, int(slab_b.size)
 
     def _compute_local_density(self, points: np.ndarray) -> np.ndarray:
-        if self._pipelined_:
-            return self._run_pipeline(points)
-        plan = self._plan
-        n = points.shape[0]
-        rho = np.zeros(n, dtype=np.float64)
-        for shard, tree in enumerate(self._shard_trees):
-            members = plan.members[shard]
-            rho[members] = self._shard_self_counts(tree, tree.source_points)
-
-        # Halo exchange: for every ordered pair (a, b), credit a's boundary
-        # slab with its strict counts against b's slab.
-        exported = 0
-        credits_total = 0.0
-        for a in range(plan.n_shards):
-            for b in range(plan.n_shards):
-                if b == a:
-                    continue
-                pair = self._halo_pair(points, a, b, self._counter)
-                if pair is None:
-                    continue
-                rows, credits, exported_b = pair
-                exported += exported_b
-                credits_total += float(credits.sum())
-                rho[rows] += credits
-
-        self.shard_stats_["halo_exported_points"] = exported
-        self.shard_stats_["halo_credits"] = int(credits_total)
-        traversal = float(n ** (1.0 - 1.0 / points.shape[1]))
-        self._record_phase("local_density", "dynamic", rho + traversal)
-        return rho
-
-    def _run_pipeline(self, points: np.ndarray) -> np.ndarray:
         """Run the full stage DAG; density returns now, dependencies are cached."""
-        from repro.shard.pipeline import ShardPipeline
-
         outputs = ShardPipeline(self, points).run()
         self._pipeline_outputs = outputs
         stats = self.shard_stats_
         stats["halo_exported_points"] = outputs.halo_exported
         stats["halo_credits"] = outputs.halo_credits
-        stats["shm_peak_bytes"] = max(
-            stats["shm_peak_bytes"], outputs.shm_peak_bytes
-        )
         stats["peak_rss_bytes"] = outputs.peak_tracked_bytes
         stats["pipeline"] = outputs.report
         if (
@@ -689,13 +629,12 @@ class ShardedDPC(ExDPC):
     ) -> None:
         """Cross-shard nearest-denser pass for shard ``a`` (in-place merge).
 
-        ``tree_for(b)`` resolves partner trees lazily: resident trees in the
-        sequential driver, possibly mmapped spilled archives in the budgeted
-        pipeline.  Only touches ``best_idx``/``best_sq`` rows of shard ``a``,
-        so distinct shards' passes are data-disjoint (the pipeline runs them
-        concurrently); the partner loop stays sequential because the pruning
-        state (``best_sq``) evolves across partners exactly as in the
-        sequential fit.
+        ``tree_for(b)`` resolves partner trees lazily: resident trees without
+        a budget, mmapped spilled archives under one.  Only touches
+        ``best_idx``/``best_sq`` rows of shard ``a``, so distinct shards'
+        passes are data-disjoint (the pipeline runs them concurrently); the
+        partner loop stays in shard order because the pruning state
+        (``best_sq``) evolves across partners.
         """
         plan = self._plan
         members_a = plan.members[a]
@@ -744,60 +683,19 @@ class ShardedDPC(ExDPC):
     def _compute_dependencies(
         self, points: np.ndarray, rho: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._pipelined_:
-            outputs = self._pipeline_outputs
-            if outputs is None:
-                raise RuntimeError("pipeline outputs missing (fit order bug)")
-            # The dependency stages ran inside the pipeline; merging their
-            # counter here keeps fit()'s per-phase work attribution exact.
-            self._counter.merge(outputs.dep_counter)
-            self._record_phase(
-                "dependency",
-                "dynamic",
-                np.concatenate(outputs.cost_chunks)
-                if outputs.cost_chunks
-                else np.zeros(0),
-            )
-            n = points.shape[0]
-            return outputs.best_idx, np.sqrt(outputs.best_sq), np.ones(n, dtype=bool)
-
-        plan = self._plan
-        n = points.shape[0]
-        best_idx = np.full(n, -1, dtype=np.intp)
-        best_sq = np.full(n, np.inf, dtype=np.float64)
-        cost_chunks: list[np.ndarray] = []
-
-        # Local pass: exact nearest-denser join within each shard, through
-        # the estimator's engine and the shard's own executor/segment.
-        for shard, tree in enumerate(self._shard_trees):
-            members = plan.members[shard]
-            outcome = self._local_join(tree, members, rho[members])
-            self._apply_local_join(points, members, outcome, best_idx, best_sq)
-            cost_chunks.append(np.asarray(outcome.cost_estimates, dtype=np.float64))
-
-        # Cross-shard pass, seeded by per-shard rho_max aggregates: a shard's
-        # point joins partner b only if b holds a denser point at all and
-        # b's bounding box can still beat (or index-tie) the current best.
-        rho_max = np.asarray([float(rho[m].max()) for m in plan.members])
-        for a in range(plan.n_shards):
-            self._cross_pass_shard(
-                points, a, rho, rho_max, best_idx, best_sq,
-                lambda b: self._shard_trees[b],
-            )
-
+        outputs = self._pipeline_outputs
+        if outputs is None:
+            raise RuntimeError("pipeline outputs missing (fit order bug)")
+        # The dependency stages ran inside the pipeline; merging their
+        # counter here keeps fit()'s per-phase work attribution exact.
+        self._counter.merge(outputs.dep_counter)
         self._record_phase(
             "dependency",
             "dynamic",
-            np.concatenate(cost_chunks) if cost_chunks else np.zeros(0),
+            np.concatenate(outputs.cost_chunks) if outputs.cost_chunks else np.zeros(0),
         )
-        # Run-level footprint: the sequential driver keeps every shard tree
-        # resident for the whole fit, plus at most one shm segment at a time.
-        stats = self.shard_stats_
-        resident = sum(self._tree_resident_bytes(t) for t in self._shard_trees)
-        stats["peak_rss_bytes"] = max(
-            stats["peak_rss_bytes"], int(resident + stats["shm_peak_bytes"])
-        )
-        return best_idx, np.sqrt(best_sq), np.ones(n, dtype=bool)
+        n = points.shape[0]
+        return outputs.best_idx, np.sqrt(outputs.best_sq), np.ones(n, dtype=bool)
 
     # ----------------------------------------------------------------- predict
 

@@ -185,7 +185,7 @@ def load_sharded(path, *, mmap: bool = False):
     known = {
         "rho_min", "delta_min", "n_clusters", "n_jobs", "backend", "seed",
         "engine", "dual_frontier", "kernel", "leaf_size", "dtype", "n_shards",
-        "memory_budget_bytes", "pipeline",
+        "memory_budget_bytes",
     }
     kwargs = {key: value for key, value in params.items() if key in known}
     model = ShardedDPC(params["d_cut"], **kwargs)

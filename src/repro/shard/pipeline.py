@@ -1,9 +1,10 @@
-"""Memory-budgeted stage pipeline for the sharded fit.
+"""Stage pipeline: the one driver of the sharded fit.
 
-The sequential :class:`repro.shard.fit.ShardedDPC` driver runs its per-shard
-building blocks one after another.  :class:`ShardPipeline` runs the *same*
-blocks as a dependency-ordered stage DAG, overlapping stages of different
-shards whenever the live accounted memory fits ``memory_budget_bytes``:
+:class:`ShardPipeline` runs the per-shard building blocks of
+:class:`repro.shard.fit.ShardedDPC` as a dependency-ordered stage DAG on
+``pipeline_workers`` threads, overlapping stages of different shards -- and,
+under ``memory_budget_bytes``, only while the live accounted memory fits the
+budget:
 
 .. code-block:: text
 
@@ -34,12 +35,19 @@ additions into ``rho_raw``, local-join folds into ``best_idx``/``best_sq``,
 counter swaps, tree registration -- happen in the scheduler thread at stage
 completion.  Densities are integer-valued, and integers below ``2**53`` add
 exactly in float64, so the commit *order* of density/halo contributions is
-bit-irrelevant; local and cross dependency stages touch row sets that are
-disjoint by shard; and each stage calls the identical building-block code the
-sequential driver calls.  The result (labels, densities, dependencies, and
-the per-phase work counters) is therefore bit-identical to the sequential
-driver for every schedule, which is property-tested in
-``tests/property/test_shard_equivalence.py``.
+bit-irrelevant; and local and cross dependency stages touch row sets that
+are disjoint by shard.  The result (labels, densities, dependencies, and the
+per-phase work counters) is therefore the same for every schedule -- any
+budget, any worker count -- and bit-identical to single-tree ``ExDPC``, which
+is property-tested in ``tests/property/test_shard_equivalence.py``.
+
+**Memory without a budget.**  With ``memory_budget_bytes=None`` every shard
+tree stays resident and stages are admitted without accounting, so the
+default runs one stage at a time: one pool and one shared-memory segment are
+live at once.  An explicit ``pipeline_workers > 1`` overlaps stages, which is
+faster but lets that many stages hold their temporaries (and, under the
+process backend, their pools and segments) at once; a budget bounds the
+memory of an overlapped run (see ``docs/sharding.md`` for measurements).
 
 **Budget model.**  Admission control works on deterministic upper-bound
 *estimates*, not on sampled RSS (which would make scheduling racy and
@@ -172,7 +180,6 @@ class PipelineOutputs:
     dep_counter: WorkCounter  #: work of localdep/cross stages
     halo_exported: int  #: total slab points exported across shard borders
     halo_credits: int  #: total cross-border density credits
-    shm_peak_bytes: int  #: largest single shared-memory segment
     peak_tracked_bytes: int  #: peak of the budget accounting model
     report: dict = field(default_factory=dict)  #: scheduling diagnostics
 
@@ -195,8 +202,8 @@ class ShardPipeline:
     The pipeline holds no algorithmic logic of its own: every stage body is a
     bound building block of the owning :class:`~repro.shard.fit.ShardedDPC`
     (``_build_shard_tree``, ``_shard_self_counts``, ``_halo_pair``,
-    ``_local_join``, ``_cross_pass_shard``), so sequential and pipelined fits
-    cannot drift apart.
+    ``_local_join``, ``_cross_pass_shard``); the pipeline only schedules and
+    commits them.
     """
 
     def __init__(self, owner, points: np.ndarray):
@@ -204,11 +211,15 @@ class ShardPipeline:
         self.points = points
         self.plan = owner._plan
         self.budget = owner.memory_budget_bytes
-        self.workers = (
-            owner.pipeline_workers
-            if owner.pipeline_workers is not None
-            else max(2, resolve_n_jobs(owner.n_jobs))
-        )
+        if owner.pipeline_workers is not None:
+            self.workers = owner.pipeline_workers
+        elif self.budget is None:
+            # Nothing bounds what concurrent stages hold without a budget
+            # (under the process backend each opens its own pool and shard
+            # segment), so the default runs one stage at a time.
+            self.workers = 1
+        else:
+            self.workers = max(2, resolve_n_jobs(owner.n_jobs))
         sizes = self.plan.shard_sizes
         dim = int(points.shape[1])
         self._tree_bytes = [
@@ -536,8 +547,8 @@ class ShardPipeline:
     def _finalize(self, n_stages: int) -> PipelineOutputs:
         owner = self.owner
         if self.budget is None:
-            # Non-budget runs keep every tree resident, like the sequential
-            # driver; report the same residency-based footprint it reports.
+            # Non-budget runs keep every tree resident; report that
+            # residency plus the largest shared-memory segment.
             for tree in self.trees:
                 tree.counter = owner._counter
             owner._shard_trees = self.trees
@@ -576,9 +587,6 @@ class ShardPipeline:
             dep_counter=self.dep_counter,
             halo_exported=int(self.halo_exported),
             halo_credits=int(self.halo_credits),
-            shm_peak_bytes=int(
-                self.owner.shard_stats_.get("shm_peak_bytes", 0)
-            ),
             peak_tracked_bytes=peak,
             report=report,
         )

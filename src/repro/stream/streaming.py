@@ -115,10 +115,9 @@ class StreamingDPC:
         deterministically, so replays of one stream agree.
     kernel:
         Blocked kernel tier of every distance evaluation (``"auto"``,
-        ``"numpy"``, ``"numba"``, ``"cupy"``; ``None`` reads
-        ``REPRO_KERNEL``).  Tiers are bit-identical, so the stream's
-        incremental state is portable across machines with different
-        accelerators -- see ``docs/kernels.md``.
+        ``"numpy"``, ``"numba"``; ``None`` reads ``REPRO_KERNEL``).  Tiers
+        are bit-identical, so the stream's incremental state is portable
+        across machines with and without numba -- see ``docs/kernels.md``.
 
     Attributes
     ----------

@@ -8,9 +8,9 @@ down three ways:
 
 * the numpy tier against an unvectorised pure-Python oracle that spells
   out the canonical arithmetic one operation at a time;
-* every other *available* tier (numba, cupy) against the numpy tier over
+* every other *available* tier (numba) against the numpy tier over
   hypothesis-generated block shapes, dtypes and padded tails -- the suite
-  skips those comparisons cleanly when the optional packages are absent,
+  skips those comparisons cleanly when the optional package is absent,
   and the CI ``numba-kernels`` leg runs them with numba installed;
 * the dispatch layer itself: ``REPRO_KERNEL`` env resolution, the
   ``"auto"`` fallback order, bad-name errors, and the hard error for an
@@ -284,9 +284,17 @@ class TestDispatchResolution:
         with pytest.raises(ValueError):
             resolve_kernel(None)
 
+    def test_cupy_name_rejected(self):
+        # The GPU tier was removed; its name is now an unknown tier.
+        assert "cupy" not in KERNEL_CHOICES
+        with pytest.raises(ValueError, match="kernel must be one of"):
+            resolve_kernel("cupy")
+        with pytest.raises(ValueError, match="kernel"):
+            ExDPC(d_cut=1.0, n_clusters=2, kernel="cupy")
+
     def test_auto_fallback_order(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        # auto -> numba when importable, numpy otherwise; never cupy.
+        # auto -> numba when importable, numpy otherwise.
         expected = "numba" if "numba" in available_kernels() else "numpy"
         assert effective_kernel("auto") == expected
         assert effective_kernel(None) == expected

@@ -131,12 +131,13 @@ class TestProcessBackendOutOfCore:
 
 
 class TestPipelinedEquivalence:
-    """Pipelined fit == sequential fit == ExDPC, bit for bit.
+    """The pipeline's schedule is invisible: every budget == serial == ExDPC.
 
-    The stage-pipelined scheduler (and its memory budget) must be invisible:
-    at every budget in {unbounded, two-shard, one-shard} the fitted arrays
-    AND the per-phase work counters equal the sequential sharded driver's,
-    which in turn equals single-tree ExDPC on the fitted arrays.
+    ``ShardPipeline`` is the only sharded driver; its schedule varies with
+    the memory budget and the worker count.  At every budget in {unbounded,
+    two-shard, one-shard} the fitted arrays AND the per-phase work counters
+    equal the one-stage-at-a-time fit (``pipeline_workers=1``, no budget),
+    and the fitted arrays equal single-tree ExDPC.
     """
 
     BUDGETS = ("unbounded", "two-shard", "one-shard")
@@ -149,14 +150,28 @@ class TestPipelinedEquivalence:
         minimum = minimum_budget_bytes(plan.shard_sizes, points.shape[1], dtype, 32)
         return minimum if budget == "one-shard" else 2 * minimum
 
+    @staticmethod
+    def serial_fit(points, n_shards, **kwargs) -> ShardedDPC:
+        serial = ShardedDPC(
+            8.0,
+            n_shards=n_shards,
+            rho_min=1,
+            n_clusters=4,
+            seed=0,
+            pipeline_workers=1,
+            **kwargs,
+        )
+        serial.fit(points)
+        return serial
+
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("n_shards", (2, 4))
     @pytest.mark.parametrize("engine", ("batch", "dual"))
-    def test_pipelined_matches_sequential_and_reference(
-        self, engine, n_shards, budget
-    ):
+    def test_budget_matches_serial_and_reference(self, engine, n_shards, budget):
         points = make_points(200, 2, seed=42)
-        reference, sequential = fit_pair(points, n_shards, engine=engine)
+        reference = ExDPC(8.0, rho_min=1, n_clusters=4, seed=0, engine=engine)
+        reference.fit(points)
+        serial = self.serial_fit(points, n_shards, engine=engine)
         budget_bytes = self.resolve_budget(points, n_shards, "float64", budget)
         pipelined = ShardedDPC(
             8.0,
@@ -166,28 +181,22 @@ class TestPipelinedEquivalence:
             seed=0,
             engine=engine,
             memory_budget_bytes=budget_bytes,
-            pipeline=True,
         )
         pipelined.fit(points)
         assert_bit_identical(reference, pipelined)
-        # Work counters: pipelined == sequential sharded, phase by phase.
-        seq_work = sequential.result_.work_
-        pipe_work = pipelined.result_.work_
-        assert pipe_work["density_distance_calcs"] == (
-            seq_work["density_distance_calcs"]
-        )
-        assert pipe_work["dependency_distance_calcs"] == (
-            seq_work["dependency_distance_calcs"]
-        )
-        assert pipe_work["total_distance_calcs"] == seq_work["total_distance_calcs"]
+        assert_bit_identical(serial, pipelined)
+        # Work counters: every schedule == the serial schedule, phase by phase.
+        assert pipelined.result_.work_ == serial.result_.work_
         if budget_bytes is not None:
             stats = pipelined.shard_stats_
             assert 0 < stats["peak_rss_bytes"] <= budget_bytes
 
     @pytest.mark.parametrize("budget", ("unbounded", "one-shard"))
-    def test_pipelined_float32_matches(self, budget):
+    def test_float32_budget_matches_serial(self, budget):
         points = make_points(200, 2, seed=42)
-        reference, sequential = fit_pair(points, 4, dtype="float32")
+        reference = ExDPC(8.0, rho_min=1, n_clusters=4, seed=0, dtype="float32")
+        reference.fit(points)
+        serial = self.serial_fit(points, 4, dtype="float32")
         budget_bytes = self.resolve_budget(points, 4, "float32", budget)
         pipelined = ShardedDPC(
             8.0,
@@ -197,13 +206,13 @@ class TestPipelinedEquivalence:
             seed=0,
             dtype="float32",
             memory_budget_bytes=budget_bytes,
-            pipeline=True,
         )
         pipelined.fit(points)
         assert_bit_identical(reference, pipelined)
-        assert pipelined.result_.work_ == sequential.result_.work_
+        assert_bit_identical(serial, pipelined)
+        assert pipelined.result_.work_ == serial.result_.work_
 
-    def test_pipelined_predict_matches(self):
+    def test_predict_after_minimum_budget_matches(self):
         points = make_points(200, 2, seed=42)
         reference, _ = fit_pair(points, 4)
         budget_bytes = self.resolve_budget(points, 4, "float64", "one-shard")

@@ -88,6 +88,18 @@ class TestImbalance:
     def test_zero_total_cost(self):
         assert partition_imbalance(np.zeros(4), hash_partition(4, 2)) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_loads_stay_finite(self):
+        # A mean of subnormal loads underflows to 0.0; max / mean was inf.
+        assert partition_imbalance([5e-324, 0.0], [[0], [1]]) == 2.0
+        assert partition_imbalance([5e-324, 5e-324], [[0], [1]]) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_loads_stay_finite(self):
+        # Loads near the float64 maximum must not overflow their sum.
+        assert partition_imbalance([1e308, 0.0], [[0], [1]]) == 2.0
+        assert partition_imbalance([1.7e308, 1.7e308], [[0], [1]]) == 1.0
+
 
 class TestSchedulers:
     def test_dynamic_single_worker_is_sum(self):

@@ -202,6 +202,18 @@ class TestManifestRoundTrip:
         with pytest.raises(ValueError, match="format version"):
             load_sharded(path)
 
+    def test_manifest_with_legacy_pipeline_param_loads(self, fitted, points, tmp_path):
+        # Manifests written while ShardedDPC still took ``pipeline=`` record
+        # it in their params; loading ignores it instead of failing.
+        path = save_sharded(fitted, tmp_path / "manifest")
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"]["pipeline"] = None
+        manifest_path.write_text(json.dumps(manifest))
+        restored = load_sharded(path)
+        assert "pipeline" not in restored.get_params()
+        np.testing.assert_array_equal(restored.predict(points), fitted.result_.labels_)
+
     def test_manifest_is_one_file_per_shard(self, fitted, tmp_path):
         path = save_sharded(fitted, tmp_path / "manifest")
         names = sorted(p.name for p in path.iterdir())

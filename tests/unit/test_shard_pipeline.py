@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,14 @@ def budget_for(points, model, factor=1.0):
     return int(np.ceil(minimum * factor))
 
 
+def serial_result(points, n_shards):
+    """The one-stage-at-a-time fit every other schedule must reproduce."""
+    model = ShardedDPC(
+        8.0, n_shards=n_shards, rho_min=1, n_clusters=3, seed=0, pipeline_workers=1
+    )
+    return model.fit(points)
+
+
 def assert_matches_reference(result, ref_result):
     np.testing.assert_array_equal(result.rho_raw_, ref_result.rho_raw_)
     np.testing.assert_array_equal(result.rho_, ref_result.rho_)
@@ -73,15 +84,10 @@ class TestBudgetModel:
         with pytest.raises(ValueError, match="minimum"):
             model.fit(points)
 
-    def test_budget_without_pipeline_rejected(self):
-        with pytest.raises(ValueError, match="pipelin"):
-            ShardedDPC(
-                8.0,
-                n_shards=2,
-                n_clusters=3,
-                memory_budget_bytes=1 << 20,
-                pipeline=False,
-            )
+    def test_pipeline_switch_removed(self):
+        # ShardPipeline is the only driver; there is nothing to switch.
+        with pytest.raises(TypeError):
+            ShardedDPC(8.0, n_shards=2, n_clusters=3, pipeline=True)
 
     def test_non_positive_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -93,12 +99,15 @@ class TestPipelinedEquivalence:
     def test_unbounded_pipeline_matches_reference(self, points, reference, n_shards):
         _, ref_result = reference
         model = ShardedDPC(
-            8.0, n_shards=n_shards, rho_min=1, n_clusters=3, seed=0, pipeline=True
+            8.0, n_shards=n_shards, rho_min=1, n_clusters=3, seed=0, pipeline_workers=2
         )
         result = model.fit(points)
         assert_matches_reference(result, ref_result)
-        assert model.shard_stats_["pipelined"] is True
+        serial = serial_result(points, n_shards)
+        assert_matches_reference(result, serial)
+        assert result.work_ == serial.work_
         assert model.shard_stats_["budget_bytes"] is None
+        assert model.shard_stats_["pipeline"]["spilled"] == []
 
     @pytest.mark.parametrize("factor", (1.0, 2.0), ids=["one-shard", "two-shard"])
     def test_budgeted_pipeline_matches_reference(self, points, reference, factor):
@@ -115,30 +124,26 @@ class TestPipelinedEquivalence:
         )
         result = model.fit(points)
         assert_matches_reference(result, ref_result)
-        # Work accounting is part of the pipelined == sequential contract
+        # Work accounting is part of the schedule-independence contract
         # (ExDPC itself traverses a different index, so its counts differ).
-        sequential = ShardedDPC(8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0)
-        seq_work = sequential.fit(points).work_
-        assert result.work_["density_distance_calcs"] == (
-            seq_work["density_distance_calcs"]
-        )
-        assert result.work_["dependency_distance_calcs"] == (
-            seq_work["dependency_distance_calcs"]
-        )
+        serial = serial_result(points, 4)
+        assert_matches_reference(result, serial)
+        assert result.work_ == serial.work_
         stats = model.shard_stats_
         assert stats["budget_bytes"] == budget
         assert 0 < stats["peak_rss_bytes"] <= budget
         # Budget mode spills every shard before the cross pass.
         assert stats["pipeline"]["spilled"] == [0, 1, 2, 3]
 
-    def test_pipelined_work_matches_sequential_sharded(self, points):
-        sequential = ShardedDPC(8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0)
-        seq_result = sequential.fit(points)
-        pipelined = ShardedDPC(
-            8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0, pipeline=True
+    def test_worker_count_does_not_change_work(self, points):
+        # Two workers are covered above; three is another schedule.
+        serial = serial_result(points, 4)
+        model = ShardedDPC(
+            8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0, pipeline_workers=3
         )
-        pipe_result = pipelined.fit(points)
-        assert pipe_result.work_ == seq_result.work_
+        result = model.fit(points)
+        assert_matches_reference(result, serial)
+        assert result.work_ == serial.work_
 
     def test_report_describes_the_dag(self, points):
         probe = ShardedDPC(8.0, n_shards=2, rho_min=1, n_clusters=3, seed=0)
@@ -211,6 +216,67 @@ class TestBudgetCompliance:
         assert model.shard_stats_["peak_rss_bytes"] <= budget
 
 
+class TestUnbudgetedDefault:
+    def test_one_pool_and_segment_live_at_a_time(self, points, reference, monkeypatch):
+        # Without a budget nothing accounts for concurrent stages, and under
+        # the process backend every stage opens its own pool and shard
+        # segment; the default schedule must keep one of each alive at once.
+        _, ref_result = reference
+        lock = threading.Lock()
+        live = {"runtimes": set(), "bundles": set()}
+        peak = {"runtimes": 0, "bundles": 0}
+
+        def enter(kind, token):
+            with lock:
+                live[kind].add(token)
+                peak[kind] = max(peak[kind], len(live[kind]))
+
+        def leave(kind, token):
+            with lock:
+                live[kind].discard(token)
+
+        original_runtime = ShardedDPC._shard_runtime
+        original_create = SharedArrayBundle.create.__func__
+        original_unlink = SharedArrayBundle.unlink
+
+        @contextmanager
+        def counted_runtime(self, tree, counter=None):
+            token = object()
+            enter("runtimes", token)
+            try:
+                with original_runtime(self, tree, counter=counter) as handles:
+                    yield handles
+            finally:
+                leave("runtimes", token)
+
+        def counted_create(cls, arrays):
+            bundle = original_create(cls, arrays)
+            enter("bundles", id(bundle))
+            return bundle
+
+        def counted_unlink(self):
+            leave("bundles", id(self))
+            original_unlink(self)
+
+        monkeypatch.setattr(ShardedDPC, "_shard_runtime", counted_runtime)
+        monkeypatch.setattr(SharedArrayBundle, "create", classmethod(counted_create))
+        monkeypatch.setattr(SharedArrayBundle, "unlink", counted_unlink)
+        model = ShardedDPC(
+            8.0,
+            n_shards=4,
+            rho_min=1,
+            n_clusters=3,
+            seed=0,
+            backend="process",
+            n_jobs=3,
+        )
+        result = model.fit(points)
+        assert_matches_reference(result, ref_result)
+        assert model.shard_stats_["pipeline"]["workers"] == 1
+        assert peak == {"runtimes": 1, "bundles": 1}
+        assert not live["runtimes"] and not live["bundles"]
+
+
 class TestStreamingInput:
     def test_npy_path_fit_matches_in_memory(self, points, reference, tmp_path):
         _, ref_result = reference
@@ -221,7 +287,6 @@ class TestStreamingInput:
         assert_matches_reference(result, ref_result)
         stats = model.shard_stats_
         assert stats["streaming_input"] is True
-        assert stats["pipelined"] is True  # streaming auto-enables the pipeline
 
     def test_chunk_iterator_fit_matches_in_memory(self, points, reference):
         _, ref_result = reference
