@@ -256,6 +256,30 @@ def run_dim_sweep(n: int, dims: list[int], leaf_size: int = 32, seed: int = 0) -
     return rows
 
 
+def dim_guidance(rows: list[dict]) -> str:
+    """Guidance lines naming, per phase, the dimensions each engine won."""
+
+    def dims(phase: str, dual_wins: bool) -> str:
+        won = [
+            str(row["d"])
+            for row in rows
+            if (row[f"{phase}_dual_vs_batch"] >= 1.0) == dual_wins
+        ]
+        return ", ".join(won) or "none"
+
+    lines = ["Guidance (from the rows above):"]
+    for phase in ("density", "dependency"):
+        lines.append(
+            f"  {phase}: dual wins at d = {dims(phase, True)};"
+            f" batch wins at d = {dims(phase, False)}"
+        )
+    lines.append(
+        "  engine='auto' picks dual up to d=5 and batch above"
+        " (see docs/performance.md)."
+    )
+    return "\n".join(lines)
+
+
 def density_trajectory(payload: dict) -> dict:
     """Perf-trajectory record, one entry per phase per engine.
 
@@ -323,13 +347,7 @@ def main() -> None:
         print_table(
             f"Engine x dimension sweep (n={args.n}, batch vs dual)", rows
         )
-        print(
-            "\nGuidance: the dependency join wins under dual at every"
-            " dimension and dominates the combined workload; the density"
-            " self-join wins or ties except a small residual around d=4"
-            " (node-granular pruning visits more pairs).  engine='auto'"
-            " picks dual across the measured range (see docs/performance.md)."
-        )
+        print("\n" + dim_guidance(rows))
         if args.json:
             with open(args.json, "w") as handle:
                 json.dump({"n": args.n, "rows": rows}, handle, indent=2)

@@ -190,13 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="memory-map the snapshot arrays instead of loading them",
     )
     predict.add_argument(
-        "--n-jobs", type=int, default=1, help="workers for the predict phases"
+        "--n-jobs",
+        type=int,
+        default=1,
+        help="workers for the brute-force predict of index-free models",
     )
     predict.add_argument(
         "--backend",
         choices=["serial", "thread", "process"],
         default=None,
-        help="execution backend for the predict phases",
+        help="execution backend for the brute-force predict of index-free models",
     )
 
     serve = subparsers.add_parser(
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=list(ENGINE_CHOICES),
         default=None,
-        help="query engine of the wrapped Ex-DPC (rebuilds, repair and predict)",
+        help="query engine of the wrapped Ex-DPC (rebuilds and repair)",
     )
     stream.add_argument(
         "--kernel",

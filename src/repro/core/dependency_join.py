@@ -5,9 +5,9 @@ for the *nearest point with strictly higher local density* (Definitions 2-3).
 Historically that search was scattered over three divergent code paths -- the
 partition-based per-point/batch queries of the fit fallbacks (§4.3), the
 escalating-kNN attachment pass of ``predict``, and the brute-force dirty-set
-repair of the streaming layer.  This module owns all of them behind one
-``engine={"scalar", "batch", "dual"}`` dispatch, mirroring the density
-phase:
+repair of the streaming layer.  This module owns all of them.  The fit joins
+dispatch on ``engine={"scalar", "batch", "dual"}``, mirroring the density
+phase; ``predict``'s :func:`attach_targets` always runs the dual join:
 
 * ``"scalar"`` / ``"batch"`` -- the paper's partition-based exact search
   (:class:`PartitionedDependencySearcher`): density-ordered partitions,
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.predict import nearest_denser_bruteforce, nearest_denser_targets
+from repro.core.predict import nearest_denser_bruteforce
 from repro.index.kdtree import (
     DUAL_FRONTIER_AUTO,
     KDTree,
@@ -622,38 +622,25 @@ def attach_targets(
     rho_train,
     queries: np.ndarray,
     rho_q: np.ndarray,
-    *,
-    engine: str,
-    executor,
-    process_task=None,
 ) -> np.ndarray:
     """Dependency target of each out-of-sample query (``predict`` phase).
 
-    Queries denser than every fitted point attach to their plain nearest
-    neighbour (serving cannot mint new clusters).  The batch/scalar engines
-    run the escalating-kNN search in executor chunks (``process_task`` ships
-    it to worker processes); the dual engine joins a throwaway tree over the
-    queries against the fitted tree in one driver-side traversal, which is
-    backend-invariant by construction.  Both return identical targets.
+    Joins a throwaway tree over the queries against the fitted tree
+    (:meth:`~repro.index.kdtree.KDTree.nn_dual_vs`) in one traversal on the
+    calling thread, which is backend-invariant by construction.  Queries denser
+    than every fitted point attach to their plain nearest neighbour (serving
+    cannot mint new clusters).
     """
     rho_train = np.asarray(rho_train, dtype=np.float64)
-    n_q = queries.shape[0]
-    if n_q == 0:
+    if queries.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
-    if engine == "dual":
-        queries_tree = KDTree.for_queries(queries, tree, dtype="float64")
-        targets, _ = tree.nn_dual_vs(queries_tree, rho_train, rho_q)
-        unresolved = np.flatnonzero(targets < 0)
-        if unresolved.size:
-            nn_idx, _ = tree.nearest_neighbor_batch(queries[unresolved])
-            targets[unresolved] = nn_idx
-        return targets
-
-    def attach_chunk(chunk: np.ndarray) -> np.ndarray:
-        return nearest_denser_targets(tree, rho_train, queries[chunk], rho_q[chunk])
-
-    chunks = executor.map_index_chunks(attach_chunk, n_q, task=process_task)
-    return np.concatenate(chunks).astype(np.intp)
+    queries_tree = KDTree.for_queries(queries, tree, dtype="float64")
+    targets, _ = tree.nn_dual_vs(queries_tree, rho_train, rho_q)
+    unresolved = np.flatnonzero(targets < 0)
+    if unresolved.size:
+        nn_idx, _ = tree.nearest_neighbor_batch(queries[unresolved])
+        targets[unresolved] = nn_idx
+    return targets
 
 
 def repair_nearest_denser(

@@ -42,8 +42,6 @@ from repro.kernels import resolve_kernel
 from repro.core.result import DPCResult, canonical_rho_raw
 from repro.parallel.backends import (
     ChunkTask,
-    kernel_predict_attach,
-    kernel_predict_density,
     pack_tree_arrays,
     resolve_backend,
 )
@@ -562,11 +560,11 @@ class DensityPeaksBase(abc.ABC):
         labels: every training point resolves to itself at distance zero
         because its tie-broken density exceeds its integer density.
 
-        The density and attachment passes are issued as chunked batch queries
-        through the estimator's executor, so ``n_jobs``/``backend`` behave as
-        in :meth:`fit` (the process backend ships the fitted kd-tree and
-        densities to workers through shared memory; index-free estimators
-        fall back to threads).
+        Tree-backed models answer both passes with dual-tree joins of a
+        throwaway query tree against the fitted tree, on the calling thread
+        whatever the model's ``engine``, ``n_jobs`` or ``backend``;
+        index-free estimators run brute-force chunks through an executor
+        (threads under the process backend).
 
         ``float32_recheck`` controls the float32 serving policy on
         float32-storage models: the density pass still runs the float32
@@ -604,9 +602,8 @@ class DensityPeaksBase(abc.ABC):
             )
         if getattr(self, "_counter", None) is None:
             self._counter = WorkCounter()
-        # One executor per call: concurrent predicts (the serving scenario)
-        # each own their pool and, on the process backend, their shared-memory
-        # bundle; close() tears both down.
+        # One executor per call (only the index-free brute-force chunks use
+        # it): concurrent predicts (the serving scenario) each own their pool.
         executor = ParallelExecutor(self.n_jobs, backend=self.backend)
         try:
             rho_q = self._predict_density(queries, executor)
@@ -652,45 +649,13 @@ class DensityPeaksBase(abc.ABC):
         """The fitted kd-tree used by the predict hot path (``None``: brute force)."""
         return getattr(self, "_tree", None)
 
-    def _predict_shared_arrays(self) -> dict[str, np.ndarray] | None:
-        """Arrays published to worker processes for the predict phases."""
-        tree = self._predict_tree()
-        if tree is None:
-            return None
-        arrays = pack_tree_arrays(tree)
-        arrays["rho"] = np.asarray(self.result_.rho_, dtype=np.float64)
-        return arrays
-
-    def _predict_process_task(self, executor, kernel, payload_fn) -> ChunkTask | None:
-        """Process-backend descriptor for one predict phase (cf. ``_process_task``).
-
-        The backing segment is created on first use and stored on the
-        per-call ``executor`` (created and torn down inside :meth:`predict`),
-        so concurrent predict calls never share or clobber each other's
-        bundle.
-        """
-        if executor.backend != "process":
-            return None
-        if executor._predict_bundle is None:
-            arrays = self._predict_shared_arrays()
-            if arrays is None:
-                return None
-            executor._predict_bundle = SharedArrayBundle.create(arrays)
-        return ChunkTask(
-            kernel=kernel,
-            spec=executor._predict_bundle.spec,
-            payload_fn=payload_fn,
-            counter=self._counter,
-        )
-
     def _dual_density_vs_tree(self, tree, queries: np.ndarray) -> np.ndarray:
         """Dual-tree join of out-of-sample ``queries`` against the fitted tree.
 
         Builds a throwaway kd-tree over the queries (same storage dtype,
         leaves sized to the batch: :meth:`KDTree.for_queries`) and runs one
-        simultaneous traversal instead of per-chunk batch counts; the result
-        is bit-for-bit identical to the batch path.  Driver-side on every
-        backend, so results and work counters are backend-independent.
+        simultaneous traversal on the calling thread whatever the backend,
+        so results and work counters are backend-independent.
         """
         from repro.index.kdtree import KDTree
 
@@ -700,31 +665,18 @@ class DensityPeaksBase(abc.ABC):
     def _predict_density(self, queries: np.ndarray, executor) -> np.ndarray:
         """Raw (integer-scale) local density of each query over the fitted set."""
         tree = self._predict_tree()
-        d_cut = self.d_cut
-        n_q = queries.shape[0]
-        if tree is not None and self.engine_ == "dual" and n_q:
-            return self._dual_density_vs_tree(tree, queries).astype(np.float64)
         if tree is not None:
-            task = self._predict_process_task(
-                executor,
-                kernel_predict_density,
-                lambda chunk: {"queries": queries[chunk], "d_cut": d_cut},
+            return self._dual_density_vs_tree(tree, queries).astype(np.float64)
+        train = self._fit_points_
+        d_cut = self.d_cut
+        counter = self._counter
+
+        def count_chunk(chunk: np.ndarray) -> np.ndarray:
+            return predict_density_bruteforce(
+                train, queries[chunk], d_cut, counter=counter
             )
 
-            def count_chunk(chunk: np.ndarray) -> np.ndarray:
-                return tree.range_count_batch(queries[chunk], d_cut, strict=True)
-
-            counts = executor.map_index_chunks(count_chunk, n_q, task=task)
-        else:
-            train = self._fit_points_
-            counter = self._counter
-
-            def count_chunk(chunk: np.ndarray) -> np.ndarray:
-                return predict_density_bruteforce(
-                    train, queries[chunk], d_cut, counter=counter
-                )
-
-            counts = executor.map_index_chunks(count_chunk, n_q)
+        counts = executor.map_index_chunks(count_chunk, queries.shape[0])
         if not counts:
             return np.zeros(0, dtype=np.float64)
         return np.concatenate(counts).astype(np.float64)
@@ -734,32 +686,16 @@ class DensityPeaksBase(abc.ABC):
     ) -> np.ndarray:
         """Dependency target (nearest denser fitted point) of each query.
 
-        Routed through the unified nearest-denser join layer
-        (:func:`repro.core.dependency_join.attach_targets`): the batch and
-        scalar engines run the escalating-kNN search in executor chunks,
-        ``engine="dual"`` joins a throwaway tree over the queries against
-        the fitted tree in one simultaneous traversal.  Index-free
-        estimators fall back to the brute-force kernel.
+        Tree-backed models join a throwaway tree over the queries against
+        the fitted tree (:func:`repro.core.dependency_join.attach_targets`);
+        index-free estimators fall back to the brute-force kernel in
+        executor chunks.
         """
         result = self.result_
         rho_train = np.asarray(result.rho_, dtype=np.float64)
         tree = self._predict_tree()
-        n_q = queries.shape[0]
         if tree is not None:
-            task = self._predict_process_task(
-                executor,
-                kernel_predict_attach,
-                lambda chunk: {"queries": queries[chunk], "rho_q": rho_q[chunk]},
-            )
-            return attach_targets(
-                tree,
-                rho_train,
-                queries,
-                rho_q,
-                engine=self.engine_,
-                executor=executor,
-                process_task=task,
-            )
+            return attach_targets(tree, rho_train, queries, rho_q)
 
         train = self._fit_points_
         counter = self._counter
@@ -769,7 +705,7 @@ class DensityPeaksBase(abc.ABC):
                 train, rho_train, queries[chunk], rho_q[chunk], counter=counter
             )
 
-        chunks = executor.map_index_chunks(attach_chunk, n_q)
+        chunks = executor.map_index_chunks(attach_chunk, queries.shape[0])
         if not chunks:
             return np.empty(0, dtype=np.intp)
         return np.concatenate(chunks).astype(np.intp)

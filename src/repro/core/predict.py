@@ -1,19 +1,24 @@
-"""Out-of-sample assignment kernels shared by every ``predict`` code path.
+"""Out-of-sample assignment kernels and their references.
 
 A fitted DPC model assigns a new point ``q`` the same way ``fit`` assigns any
 non-center point: ``q`` attaches to its *dependency target* -- the nearest
 fitted point whose (tie-broken) local density exceeds ``q``'s density -- and
 inherits that point's cluster label (Definition 6 applied one step beyond the
-training set).  The helpers here implement the two primitives:
+training set).  Tree-backed models run that search as a dual-tree join
+(:func:`repro.core.dependency_join.attach_targets`); the helpers here are
+the index-free path and the references it is tested against:
 
+* :func:`nearest_denser_bruteforce` / :func:`predict_density_bruteforce` --
+  the index-free attach and density used by the ``O(n^2)`` baselines (Scan,
+  CFSFDP-A), by restored snapshots without a stored tree and by the
+  streaming repair;
 * :func:`nearest_denser_targets` -- kd-tree batch search with an escalating-k
-  kNN frontier.  Among the ``k`` nearest neighbours sorted by ``(distance,
-  index)``, the first one denser than the query *is* the global masked
-  nearest neighbour (every point outside the top ``k`` is lexicographically
-  larger), so the escalation never changes the answer, only the cost.
-* :func:`nearest_denser_bruteforce` -- the index-free counterpart used by the
-  ``O(n^2)`` baselines (Scan, CFSFDP-A) and by restored snapshots without a
-  stored tree.
+  kNN frontier, kept as a tree-backed reference for the predict tests.
+  Among the ``k`` nearest neighbours sorted by ``(distance, index)``, the
+  first one denser than the query *is* the global masked nearest neighbour
+  (every point outside the top ``k`` is lexicographically larger), so the
+  escalation never changes the answer, only the cost;
+* :func:`float32_density_recheck` -- the float64 re-check of float32 models.
 
 Both primitives break exact distance ties by the smallest point index and
 both use the canonical sequential squared-distance arithmetic of

@@ -261,8 +261,8 @@ class SApproxDPC(DensityPeaksBase):
         A query falling into a non-empty fitted cell inherits that cell's
         density -- exactly what ``fit`` assigns to the cell's own members, so
         predicting a training point reproduces its fitted density.  Queries in
-        brand-new cells behave like freshly picked representatives: one batch
-        range count over the fitted set.
+        brand-new cells behave like freshly picked representatives: one dual
+        range count against the fitted tree.
 
         The cell map is derived from the stored points and raw densities (all
         members of a cell share its density), not from the fitted grid object,
@@ -291,19 +291,9 @@ class SApproxDPC(DensityPeaksBase):
 
         unknown = np.flatnonzero(rho_q < 0.0)
         if unknown.size:
-            tree = self._predict_tree()
-            subset = queries[unknown]
-            if self.engine_ == "dual":
-                rho_q[unknown] = self._dual_density_vs_tree(tree, subset).astype(
-                    np.float64
-                )
-                return rho_q
-
-            def count_chunk(chunk: np.ndarray) -> np.ndarray:
-                return tree.range_count_batch(subset[chunk], self.d_cut, strict=True)
-
-            counts = executor.map_index_chunks(count_chunk, unknown.size)
-            rho_q[unknown] = np.concatenate(counts).astype(np.float64)
+            rho_q[unknown] = self._dual_density_vs_tree(
+                self._predict_tree(), queries[unknown]
+            ).astype(np.float64)
         return rho_q
 
     # ------------------------------------------------------------ dependencies

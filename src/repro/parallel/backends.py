@@ -54,8 +54,6 @@ __all__ = [
     "kernel_joint_density",
     "kernel_picked_density",
     "kernel_partitioned_dependency",
-    "kernel_predict_density",
-    "kernel_predict_attach",
 ]
 
 BACKENDS = ("serial", "thread", "process")
@@ -361,35 +359,3 @@ def kernel_partitioned_dependency(ctx, payload, chunk):
     undecided = payload["undecided"]
     result = searcher.query_batch(undecided[chunk])
     return result, counter.get("distance_calcs") - before
-
-
-def kernel_predict_density(ctx, payload, chunk):
-    """Online predict: batch range counts of a chunk of out-of-sample queries.
-
-    The queries travel in the (per-chunk sliced) payload; the fitted tree and
-    point matrix come from shared memory.
-    """
-    tree = ctx.tree
-    return _tree_delta(
-        tree,
-        lambda: tree.range_count_batch(
-            payload["queries"], payload["d_cut"], strict=True
-        ),
-    )
-
-
-def kernel_predict_attach(ctx, payload, chunk):
-    """Online predict: nearest-denser attachment targets for a query chunk.
-
-    The fitted tie-broken densities are read from the shared segment (key
-    ``"rho"``); only the chunk's queries and their raw densities are pickled.
-    """
-    from repro.core.predict import nearest_denser_targets
-
-    tree = ctx.tree
-    return _tree_delta(
-        tree,
-        lambda: nearest_denser_targets(
-            tree, ctx.arrays["rho"], payload["queries"], payload["rho_q"]
-        ),
-    )

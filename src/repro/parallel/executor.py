@@ -116,11 +116,6 @@ class ParallelExecutor:
         self._backend = resolve_backend(backend)
         self._pool: ProcessPoolExecutor | None = None
         self._thread_pool: ThreadPoolExecutor | None = None
-        # Shared-memory bundle attached by DensityPeaksBase.predict for the
-        # process backend.  It lives on the executor (one per predict call)
-        # rather than on the estimator so concurrent predicts each own --
-        # and clean up -- their own segment.
-        self._predict_bundle = None
 
     @property
     def n_jobs(self) -> int:
@@ -253,21 +248,13 @@ class ParallelExecutor:
         return self._pool
 
     def close(self) -> None:
-        """Shut down the worker pool and any attached predict bundle (idempotent).
-
-        Pool first, bundle second: no worker may still map the segment when
-        the owner closes and unlinks it.
-        """
+        """Shut down the worker pools (idempotent)."""
         if self._thread_pool is not None:
             self._thread_pool.shutdown(wait=True)
             self._thread_pool = None
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._predict_bundle is not None:
-            self._predict_bundle.close()
-            self._predict_bundle.unlink()
-            self._predict_bundle = None
 
     def __enter__(self) -> "ParallelExecutor":
         return self

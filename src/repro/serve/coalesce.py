@@ -5,10 +5,8 @@ arithmetic -- executor setup, tree/bundle plumbing, Python dispatch.  Under
 concurrency those costs multiply.  The coalescer turns the concurrency
 itself into batching: requests arriving within a short window are
 concatenated into one query matrix and answered by a *single*
-``model.predict`` call (one density pass and one attachment pass through
-the fitted kernels -- under the process backend literally one
-``kernel_predict_density`` / ``kernel_predict_attach`` task set), then the
-label array is sliced back per request.  Correctness is free: ``predict``
+``model.predict`` call (one density join and one attachment join against
+the fitted tree), then the label array is sliced back per request.  Correctness is free: ``predict``
 is row-independent, so the batched labels equal the per-request ones
 exactly.
 

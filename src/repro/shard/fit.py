@@ -63,7 +63,6 @@ import numpy as np
 
 from repro.core.dependency_join import nearest_denser_join
 from repro.core.ex_dpc import ExDPC
-from repro.core.predict import nearest_denser_targets
 from repro.index.kdtree import KDTree
 from repro.kernels import pair_distances_sq, squared_norms
 from repro.parallel.backends import (
@@ -72,7 +71,7 @@ from repro.parallel.backends import (
     kernel_range_count,
     pack_tree_arrays,
 )
-from repro.parallel.executor import ParallelExecutor
+from repro.parallel.executor import ParallelExecutor, resolve_n_jobs
 from repro.parallel.shm import SharedArrayBundle
 from repro.shard.partition import (
     ShardPlan,
@@ -384,7 +383,9 @@ class ShardedDPC(ExDPC):
         segments for the life of their pool, so reusing one pool across
         shards would accumulate every shard's mapping and defeat the
         out-of-core bound.  Pool and segment are torn down before the next
-        stage of the same shard starts.  ``counter`` receives the worker-side
+        stage of the same shard starts.  The pool gets ``n_jobs`` split
+        across the pipeline's concurrent stages, so live worker processes
+        never exceed ``n_jobs``.  ``counter`` receives the worker-side
         distance counts (default: the fit-wide counter); the pipeline passes
         its phase counters so density and dependency work stay attributed
         to the fit phase they belong to.
@@ -396,7 +397,7 @@ class ShardedDPC(ExDPC):
             yield fit_executor, lambda kernel, payload=None, payload_fn=None: None
             return
 
-        executor = ParallelExecutor(self.n_jobs, backend=self.backend)
+        executor = ParallelExecutor(self._stage_n_jobs, backend=self.backend)
         bundle_box: list[SharedArrayBundle | None] = [None]
 
         def builder(kernel, payload=None, payload_fn=None):
@@ -548,7 +549,11 @@ class ShardedDPC(ExDPC):
 
     def _compute_local_density(self, points: np.ndarray) -> np.ndarray:
         """Run the full stage DAG; density returns now, dependencies are cached."""
-        outputs = ShardPipeline(self, points).run()
+        pipeline = ShardPipeline(self, points)
+        # Split the worker budget across the pipeline's concurrent stages so
+        # their process pools together never exceed the resolved n_jobs.
+        self._stage_n_jobs = max(1, resolve_n_jobs(self.n_jobs) // pipeline.workers)
+        outputs = pipeline.run()
         self._pipeline_outputs = outputs
         stats = self.shard_stats_
         stats["halo_exported_points"] = outputs.halo_exported
@@ -700,25 +705,15 @@ class ShardedDPC(ExDPC):
     # ----------------------------------------------------------------- predict
 
     def _predict_density(self, queries: np.ndarray, executor) -> np.ndarray:
-        plan = self._plan
         n_q = queries.shape[0]
-        if n_q == 0:
-            return np.zeros(0, dtype=np.float64)
         counts = np.zeros(n_q, dtype=np.float64)
-        if self.engine_ == "dual":
-            query_tree = KDTree.for_queries(queries, self._shard_trees[0])
-            for tree in self._shard_trees:
-                counts += tree.range_count_dual_vs(
-                    query_tree, self.d_cut, strict=True
-                ).astype(np.float64)
+        if n_q == 0:
             return counts
-        d_cut = self.d_cut
+        query_tree = KDTree.for_queries(queries, self._shard_trees[0])
         for tree in self._shard_trees:
-            def count_chunk(chunk: np.ndarray, tree=tree) -> np.ndarray:
-                return tree.range_count_batch(queries[chunk], d_cut, strict=True)
-
-            shard_counts = executor.map_index_chunks(count_chunk, n_q)
-            counts += np.concatenate(shard_counts).astype(np.float64)
+            counts += tree.range_count_dual_vs(
+                query_tree, self.d_cut, strict=True
+            ).astype(np.float64)
         return counts
 
     def _predict_attach(
@@ -732,66 +727,42 @@ class ShardedDPC(ExDPC):
         best_idx = np.full(n_q, -1, dtype=np.intp)
         best_sq = np.full(n_q, np.inf, dtype=np.float64)
 
-        def merge(rows: np.ndarray, cand_idx: np.ndarray, cand_sq: np.ndarray) -> None:
-            better = (cand_sq < best_sq[rows]) | (
-                (cand_sq == best_sq[rows]) & (cand_idx < best_idx[rows])
-            )
-            hit = rows[better]
-            best_idx[hit] = cand_idx[better]
-            best_sq[hit] = cand_sq[better]
-
-        if self.engine_ == "dual":
-            # Each query joins its home shard (nearest box) first, then only
-            # the shards whose box can still beat or index-tie its best, as
-            # in the fit's cross pass.  The merge key is the canonical
-            # float64 distance the single-tree dual attach ranks by, and the
-            # merges are exact, so the visiting order cannot change a result.
-            reach = np.column_stack(
-                [_box_reach_sq(queries, box) for box in self._shard_bbox]
-            )
-            home = np.argmin(reach, axis=1)
-            for home_pass in (True, False):
-                for shard, tree in enumerate(self._shard_trees):
-                    if home_pass:
-                        rows = np.flatnonzero(home == shard)
-                    else:
-                        rows = np.flatnonzero(
-                            (home != shard) & (reach[:, shard] <= best_sq)
-                        )
-                    if rows.size == 0:
-                        continue
-                    members = plan.members[shard]
-                    query_tree = KDTree.for_queries(
-                        queries[rows], tree, dtype="float64"
-                    )
-                    idx, _ = tree.nn_dual_vs(
-                        query_tree, rho_train[members], rho_q[rows]
-                    )
-                    found = np.flatnonzero(idx >= 0)
-                    if found.size == 0:
-                        continue
-                    targets_g = members[idx[found]]
-                    cand_sq = _elementwise_sq(
-                        queries[rows[found]],
-                        np.asarray(self._fit_points_[targets_g], dtype=np.float64),
-                    )
-                    merge(rows[found], targets_g, cand_sq)
-        else:
-            # Batch/scalar rank by the *storage-dtype* squared distance (the
-            # kNN frontier's own key), so the merge recomputes it in storage
-            # precision per winning pair and holds it exactly in float64.
+        # Each query joins its home shard (nearest box) first, then only the
+        # shards whose box can still beat or index-tie its best, as in the
+        # fit's cross pass.  The merge key is the canonical float64 distance
+        # the single-tree attach ranks by, and the merges are exact, so the
+        # visiting order cannot change a result.
+        reach = np.column_stack(
+            [_box_reach_sq(queries, box) for box in self._shard_bbox]
+        )
+        home = np.argmin(reach, axis=1)
+        for home_pass in (True, False):
             for shard, tree in enumerate(self._shard_trees):
+                if home_pass:
+                    rows = np.flatnonzero(home == shard)
+                else:
+                    rows = np.flatnonzero(
+                        (home != shard) & (reach[:, shard] <= best_sq)
+                    )
+                if rows.size == 0:
+                    continue
                 members = plan.members[shard]
-                targets = nearest_denser_targets(
-                    tree, rho_train[members], queries, rho_q, attach_fallback=False
-                )
-                found = np.flatnonzero(targets >= 0)
+                query_tree = KDTree.for_queries(queries[rows], tree, dtype="float64")
+                idx, _ = tree.nn_dual_vs(query_tree, rho_train[members], rho_q[rows])
+                found = np.flatnonzero(idx >= 0)
                 if found.size == 0:
                     continue
-                stored_q = tree._check_query_batch(queries[found])
-                stored_t = tree.points[targets[found]]
-                cand_sq = _elementwise_sq(stored_q, stored_t).astype(np.float64)
-                merge(found, members[targets[found]], cand_sq)
+                targets_g = members[idx[found]]
+                cand_sq = _elementwise_sq(
+                    queries[rows[found]],
+                    np.asarray(self._fit_points_[targets_g], dtype=np.float64),
+                )
+                hits = rows[found]
+                better = (cand_sq < best_sq[hits]) | (
+                    (cand_sq == best_sq[hits]) & (targets_g < best_idx[hits])
+                )
+                best_idx[hits[better]] = targets_g[better]
+                best_sq[hits[better]] = cand_sq[better]
 
         # Queries denser than every fitted point attach to their plain
         # nearest neighbour (storage-dtype lex), merged across shards on

@@ -105,9 +105,9 @@ class StreamingDPC:
         ``"dual"`` or ``"auto"``; ``None`` reads ``REPRO_DEFAULT_ENGINE``
         and falls back to ``"auto"``, which is dual up to 5 dimensions).
         With ``"dual"`` the amortized rebuilds run the density phase as a
-        dual-tree self-join and :meth:`predict` joins new points against the
-        window tree with one simultaneous traversal -- results are
-        bit-for-bit identical on every engine.
+        dual-tree self-join -- results are bit-for-bit identical on every
+        engine.  :meth:`predict` joins new points against the window tree
+        with one simultaneous traversal whatever the engine.
     dual_frontier:
         Work-unit decomposition of the dual joins (``"auto"``, an int, or
         ``None`` to read ``REPRO_DUAL_FRONTIER``).  ``"auto"`` stays

@@ -46,6 +46,51 @@ def reference_dependencies(
     return dependent, delta
 
 
+def reference_predict_labels(model, queries, *, tree=None) -> np.ndarray:
+    """``predict`` oracle over a fitted float64-storage model.
+
+    A query's density is its strict ``d_cut`` count over the fitted points
+    (an S-Approx-DPC query landing in a fitted grid cell inherits that
+    cell's density instead, §5); its target is the nearest fitted point of
+    higher tie-broken density, or its plain nearest neighbour when none is
+    denser.  It takes the target's attachment label, and ``rho_min`` marks
+    it noise.  Without ``tree`` both searches are brute force; with the
+    fitted ``tree`` they are its batch range count and the escalating-kNN
+    reference :func:`repro.core.predict.nearest_denser_targets`.  No dual
+    join is involved either way.
+    """
+    from repro.core import SApproxDPC
+    from repro.core.predict import (
+        nearest_denser_bruteforce,
+        nearest_denser_targets,
+        predict_density_bruteforce,
+    )
+
+    queries = np.asarray(queries, dtype=np.float64)
+    train = np.asarray(model._fit_points_, dtype=np.float64)
+    result = model.result_
+    if tree is None:
+        rho_q = predict_density_bruteforce(train, queries, model.d_cut)
+    else:
+        rho_q = tree.range_count_batch(queries, model.d_cut, strict=True)
+    rho_q = rho_q.astype(np.float64)
+    if isinstance(model, SApproxDPC):
+        side = model.epsilon * model.d_cut / np.sqrt(train.shape[1])
+        train_cells = np.floor(train / side)
+        for row, cell in enumerate(np.floor(queries / side)):
+            members = np.flatnonzero((train_cells == cell).all(axis=1))
+            if members.size:
+                rho_q[row] = result.rho_raw_[members[0]]
+    if tree is None:
+        targets = nearest_denser_bruteforce(train, result.rho_, queries, rho_q)
+    else:
+        targets = nearest_denser_targets(tree, result.rho_, queries, rho_q)
+    labels = model._attachment_labels()[targets]
+    if model.rho_min is not None:
+        labels = np.where(rho_q < model.rho_min, -1, labels)
+    return labels.astype(np.int64)
+
+
 @pytest.fixture(scope="session")
 def small_blobs():
     """Three well-separated Gaussian blobs (400 points, 2-D)."""

@@ -34,6 +34,7 @@ from repro.index import kdtree as kdtree_module
 from repro.index.kdtree import KDTree
 from repro.parallel.executor import ParallelExecutor
 from repro.utils.counters import WorkCounter
+from tests.conftest import reference_predict_labels
 
 MAX_EXAMPLES = 25
 
@@ -153,8 +154,9 @@ def test_dual_dependencies_backend_exact(cls, extra, backend, points, d_cut):
     seed=st.integers(0, 2**16),
 )
 def test_predict_attachment_engine_exact(cls, extra, points, d_cut, seed):
-    """predict() assigns identical labels through every engine -- for the
-    training matrix (== fit labels) and for out-of-sample queries.
+    """predict() assigns identical labels whatever engine the model was
+    fitted with -- for the training matrix (== fit labels) and for
+    out-of-sample queries, where they also equal the brute-force oracle.
 
     The predict(train) == fit-labels contract requires training points that
     are distinct *at squared-distance resolution*: an exact duplicate -- or
@@ -180,8 +182,10 @@ def test_predict_attachment_engine_exact(cls, extra, points, d_cut, seed):
                 err_msg=f"{cls.__name__}[{engine}]: predict(train) != fit labels",
             )
             labels[engine] = model.predict(queries)
+    labels["oracle"] = reference_predict_labels(model, queries)
     np.testing.assert_array_equal(labels["batch"], labels["scalar"])
     np.testing.assert_array_equal(labels["batch"], labels["dual"])
+    np.testing.assert_array_equal(labels["batch"], labels["oracle"])
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)

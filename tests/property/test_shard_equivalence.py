@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import ExDPC
 from repro.shard import ShardedDPC, minimum_budget_bytes, plan_shards
+from tests.conftest import reference_predict_labels
 
 ENGINES = ("batch", "dual", "scalar")
 DTYPES = ("float64", "float32")
@@ -80,8 +81,10 @@ class TestShardEngineDtypeMatrix:
         queries = points[rng.integers(0, points.shape[0], size=80)] + rng.normal(
             0.0, 0.5, size=(80, 2)
         )
+        labels = sharded.predict(queries)
+        np.testing.assert_array_equal(labels, reference.predict(queries))
         np.testing.assert_array_equal(
-            sharded.predict(queries), reference.predict(queries)
+            labels, reference_predict_labels(reference, queries)
         )
         # Predicting the training matrix reproduces the fitted labels.
         np.testing.assert_array_equal(

@@ -147,8 +147,23 @@ class TestShardStats:
 
 
 class TestManifestRoundTrip:
-    @pytest.mark.parametrize("mmap", [False, True], ids=["load", "mmap"])
-    def test_predict_and_result_survive(self, fitted, points, tmp_path, mmap):
+    @pytest.mark.parametrize(
+        "mmap,engine",
+        [
+            pytest.param(False, None, id="load"),
+            pytest.param(True, None, id="mmap"),
+            pytest.param(False, "batch", id="load-batch-fit"),
+            pytest.param(True, "batch", id="mmap-batch-fit"),
+        ],
+    )
+    def test_predict_and_result_survive(self, fitted, points, tmp_path, mmap, engine):
+        if engine is not None:
+            # A batch fit stores no per-node density maxima; the restored
+            # (read-only under mmap) shard trees derive them lazily.
+            fitted = ShardedDPC(
+                8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0, engine=engine
+            )
+            fitted.fit(points)
         path = save_sharded(fitted, tmp_path / "manifest")
         restored = load_sharded(path, mmap=mmap)
         np.testing.assert_array_equal(

@@ -217,14 +217,12 @@ class TestBudgetCompliance:
 
 
 class TestUnbudgetedDefault:
-    def test_one_pool_and_segment_live_at_a_time(self, points, reference, monkeypatch):
-        # Without a budget nothing accounts for concurrent stages, and under
-        # the process backend every stage opens its own pool and shard
-        # segment; the default schedule must keep one of each alive at once.
-        _, ref_result = reference
+    @pytest.fixture
+    def live_scopes(self, monkeypatch):
+        """Count the live stage runtimes, their pool sizes and shard segments."""
         lock = threading.Lock()
-        live = {"runtimes": set(), "bundles": set()}
-        peak = {"runtimes": 0, "bundles": 0}
+        live = {"runtimes": set(), "bundles": set(), "pools": {}}
+        peak = {"runtimes": 0, "bundles": 0, "pool_workers": 0}
 
         def enter(kind, token):
             with lock:
@@ -245,7 +243,16 @@ class TestUnbudgetedDefault:
             enter("runtimes", token)
             try:
                 with original_runtime(self, tree, counter=counter) as handles:
-                    yield handles
+                    with lock:
+                        live["pools"][token] = handles[0].n_jobs
+                        peak["pool_workers"] = max(
+                            peak["pool_workers"], sum(live["pools"].values())
+                        )
+                    try:
+                        yield handles
+                    finally:
+                        with lock:
+                            del live["pools"][token]
             finally:
                 leave("runtimes", token)
 
@@ -261,6 +268,14 @@ class TestUnbudgetedDefault:
         monkeypatch.setattr(ShardedDPC, "_shard_runtime", counted_runtime)
         monkeypatch.setattr(SharedArrayBundle, "create", classmethod(counted_create))
         monkeypatch.setattr(SharedArrayBundle, "unlink", counted_unlink)
+        return live, peak
+
+    def test_one_pool_and_segment_live_at_a_time(self, points, reference, live_scopes):
+        # Without a budget nothing accounts for concurrent stages, and under
+        # the process backend every stage opens its own pool and shard
+        # segment; the default schedule must keep one of each alive at once.
+        _, ref_result = reference
+        live, peak = live_scopes
         model = ShardedDPC(
             8.0,
             n_shards=4,
@@ -273,8 +288,30 @@ class TestUnbudgetedDefault:
         result = model.fit(points)
         assert_matches_reference(result, ref_result)
         assert model.shard_stats_["pipeline"]["workers"] == 1
-        assert peak == {"runtimes": 1, "bundles": 1}
+        assert peak == {"runtimes": 1, "bundles": 1, "pool_workers": 3}
         assert not live["runtimes"] and not live["bundles"]
+
+    def test_budgeted_stage_pools_share_n_jobs(self, points, live_scopes):
+        # Under a budget up to n_jobs stages run at once; their process
+        # pools split n_jobs between them instead of each taking all of it.
+        live, peak = live_scopes
+        probe = ShardedDPC(8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0)
+        params = dict(
+            n_shards=4,
+            rho_min=1,
+            n_clusters=3,
+            seed=0,
+            memory_budget_bytes=budget_for(points, probe, factor=4.0),
+        )
+        model = ShardedDPC(8.0, backend="process", n_jobs=4, **params)
+        result = model.fit(points)
+        assert model.shard_stats_["pipeline"]["workers"] == 4
+        assert peak["runtimes"] > 1
+        assert peak["pool_workers"] <= 4
+        assert not live["runtimes"] and not live["bundles"]
+        serial = ShardedDPC(8.0, backend="serial", **params).fit(points)
+        assert_matches_reference(result, serial)
+        assert result.work_ == serial.work_
 
 
 class TestStreamingInput:

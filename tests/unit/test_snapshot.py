@@ -8,6 +8,7 @@ import pytest
 
 from repro.baselines import CFSFDPA
 from repro.core import ApproxDPC, ExDPC, SApproxDPC
+from repro.data import generate_blobs
 from repro.io import MODEL_FORMAT_VERSION, load_model, save_model
 from repro.stream.snapshot import _load_npz_memmap
 
@@ -23,25 +24,65 @@ def _fit(builder, points):
     return model
 
 
+def _blobs_8d() -> np.ndarray:
+    centers = np.random.default_rng(8).uniform(20_000.0, 80_000.0, size=(3, 8))
+    points, _ = generate_blobs(400, centers, spread=500.0, seed=3)
+    return points
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
-        "builder",
+        "builder,dim",
         [
-            lambda **kw: ExDPC(**kw),
-            lambda **kw: ApproxDPC(**kw),
-            lambda **kw: SApproxDPC(epsilon=0.5, **kw),
-            lambda **kw: CFSFDPA(**kw),
+            pytest.param(lambda **kw: ExDPC(**kw), 2, id="ex-dpc"),
+            pytest.param(lambda **kw: ApproxDPC(**kw), 2, id="approx-dpc"),
+            pytest.param(
+                lambda **kw: SApproxDPC(epsilon=0.5, **kw), 2, id="s-approx-dpc"
+            ),
+            pytest.param(lambda **kw: CFSFDPA(**kw), 2, id="cfsfdp-a"),
+            pytest.param(
+                lambda **kw: ExDPC(dtype="float32", **kw), 2, id="ex-dpc-float32"
+            ),
+            pytest.param(
+                lambda **kw: SApproxDPC(epsilon=0.5, dtype="float32", **kw),
+                2,
+                id="s-approx-dpc-float32",
+            ),
+            pytest.param(lambda **kw: ExDPC(**kw), 8, id="ex-dpc-d8"),
+            pytest.param(lambda **kw: ApproxDPC(**kw), 8, id="approx-dpc-d8"),
+            pytest.param(
+                lambda **kw: ExDPC(engine="batch", **kw), 2, id="ex-dpc-batch-fit"
+            ),
+            pytest.param(
+                lambda **kw: ApproxDPC(engine="batch", **kw),
+                2,
+                id="approx-dpc-batch-fit",
+            ),
         ],
-        ids=["ex-dpc", "approx-dpc", "s-approx-dpc", "cfsfdp-a"],
     )
     @pytest.mark.parametrize("mmap", [False, True], ids=["load", "mmap"])
     def test_restored_predict_matches(
-        self, builder, mmap, tmp_path, small_blobs, queries
+        self, builder, dim, mmap, tmp_path, small_blobs, queries
     ):
-        points, _ = small_blobs
+        if dim == 2:
+            points, _ = small_blobs
+        else:
+            points = _blobs_8d()
+            rng = np.random.default_rng(9)
+            queries = np.concatenate(
+                [
+                    rng.uniform(0, 100_000, size=(50, dim)),
+                    points[::4] + rng.normal(0.0, 300.0, size=(100, dim)),
+                ]
+            )
         model = _fit(builder, points)
         path = save_model(model, tmp_path / "model.npz")
         restored = load_model(path, mmap=mmap)
+        tree = restored._predict_tree()
+        if tree is not None and model.engine_ != "dual":
+            # Only dual fits store per-node density maxima; predict derives
+            # them lazily (read-only arrays under mmap).
+            assert tree.arrays.rho_max is None
         # Golden round trip: load(save(m)).predict == m.predict, on both the
         # training matrix and fresh queries.
         np.testing.assert_array_equal(

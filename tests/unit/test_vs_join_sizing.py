@@ -4,8 +4,8 @@
 throwaway query tree against a large fitted tree.  The query tree's leaves
 shrink with the batch (:meth:`KDTree.for_queries`), and the nearest-denser
 join streams its exact step over bounded data chunks.  These tests pin the
-answers to the batch engine and bound the work with the tree counters and
-the kernel block shapes -- never with wall clock.
+answers to independent references and bound the work with the tree counters
+and the kernel block shapes -- never with wall clock.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import repro.index.kdtree as kdtree_module
 from repro.core import ApproxDPC, ExDPC
 from repro.index.kdtree import KDTree, query_leaf_size
 from repro.shard import ShardedDPC
+from tests.conftest import reference_predict_labels
 
 #: An 8-query density vs-join may do at most this many times the batch
 #: engine's distance calcs (the old single-terminal query tree did ~100x).
@@ -77,11 +78,17 @@ def models(landscape):
 
 
 @pytest.fixture(scope="module")
-def batch_labels(models, landscape):
-    """Batch-engine labels of the ring centres followed by the held-out
-    queries (labels are per query, so any prefix is a valid expectation)."""
+def oracle_labels(models, landscape):
+    """Escalating-kNN reference labels of the ring centres followed by the
+    held-out queries (labels are per query, so any prefix is a valid
+    expectation)."""
     _, held_out, peaks = landscape
-    return models["batch"].predict(np.concatenate([peaks, held_out[:512]]))
+    model = models["batch"]
+    return reference_predict_labels(
+        model,
+        np.concatenate([peaks, held_out[:512]]),
+        tree=model._predict_tree(),
+    )
 
 
 class _RecordingTier:
@@ -133,15 +140,15 @@ class TestQueryTreeShape:
 
 class TestPredictExactness:
     @pytest.mark.parametrize("size", [1, 8, 32, 33, 512])
-    def test_labels_match_batch_engine(self, models, landscape, batch_labels, size):
+    def test_labels_match_batch_engine(self, models, landscape, oracle_labels, size):
         _, held_out, peaks = landscape
         queries = np.concatenate([peaks, held_out])[:size]
         assert models["auto"].engine_ == "dual"
-        np.testing.assert_array_equal(models["auto"].predict(queries), batch_labels[:size])
+        np.testing.assert_array_equal(models["auto"].predict(queries), oracle_labels[:size])
 
-    def test_peak_queries_take_the_exact_step(self, models, landscape, batch_labels):
+    def test_peak_queries_take_the_exact_step(self, models, landscape, oracle_labels):
         """Ring-centre queries are denser than their whole home region; the
-        exact step resolves them in bounded chunks with the batch answer."""
+        exact step resolves them in bounded chunks with the oracle's answer."""
         _, _, peaks = landscape
         model = models["auto"]
         tree = model._predict_tree()
@@ -151,7 +158,7 @@ class TestPredictExactness:
             labels = model.predict(peaks)
         finally:
             tree._kernel = recorder._tier
-        np.testing.assert_array_equal(labels, batch_labels[: peaks.shape[0]])
+        np.testing.assert_array_equal(labels, oracle_labels[: peaks.shape[0]])
         # The exact step streamed every point past the peaks ...
         n = tree.size
         chunks = -(-n // kdtree_module._NN_EXACT_CHUNK)
@@ -213,6 +220,7 @@ class TestShardedPredict:
         single = ExDPC(d_cut=D_CUT, rho_min=3, n_clusters=3, engine="batch")
         single.fit(points)
         np.testing.assert_array_equal(labels, single.predict(queries))
+        np.testing.assert_array_equal(labels, reference_predict_labels(single, queries))
         # Far shards are pruned by their boxes: the whole call costs less
         # than one pass over the fitted points.
         assert calcs < points.shape[0]
