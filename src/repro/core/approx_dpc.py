@@ -49,7 +49,7 @@ from repro.core.dependency_join import nearest_denser_join
 from repro.core.framework import DensityPeaksBase
 from repro.index.grid import UniformGrid, distinct_lattice_keys
 from repro.index.kdtree import KDTree, check_storage_dtype
-from repro.parallel.backends import kernel_joint_density, pack_tree_arrays
+from repro.parallel.backends import kernel_joint_density
 from repro.utils.counters import WorkCounter
 from repro.utils.distance import point_to_points_sq
 
@@ -83,9 +83,10 @@ def cell_density_summary(
 ) -> CellDensitySummary:
     """Exact member densities and cell bookkeeping from one joint result.
 
-    Shared by the in-process batch/scalar paths and the process-backend
-    kernel (:func:`repro.parallel.backends.kernel_joint_density`), so every
-    backend performs bit-identical arithmetic on identical inputs.
+    Shared by the scalar and dual per-cell scans and the batch engine's
+    chunk kernel (:func:`repro.parallel.backends.kernel_joint_density`), so
+    every engine and backend performs bit-identical arithmetic on identical
+    inputs.
     """
     candidate_points = points[candidates]
     member_points = points[members]
@@ -205,10 +206,8 @@ class ApproxDPC(DensityPeaksBase):
             total += self._grid.memory_bytes()
         return total + self._fallback_memory
 
-    def _shared_arrays(self):
-        arrays = pack_tree_arrays(self._tree)
-        arrays["lattice"] = self._grid.lattice
-        return arrays
+    def _kernel_arrays(self):
+        return {"lattice": self._grid.lattice}
 
     # ---------------------------------------------------------------- density
 
@@ -233,6 +232,12 @@ class ApproxDPC(DensityPeaksBase):
             self._counter.add("distance_calcs", summary.n_distance_calcs)
             return summary
 
+        # Joint range search of cell c: center c, radius d_cut + max member
+        # distance from the center (covers every member's d_cut-ball).
+        centers = np.stack([cell.center for cell in cells])
+        radii = np.asarray(
+            [d_cut + cell.max_center_dist for cell in cells], dtype=np.float64
+        )
         if self.engine_ == "dual":
             # Dual-tree joint range search (§4.2 over node pairs): one
             # simultaneous traversal of a small tree over the cell centers
@@ -243,10 +248,6 @@ class ApproxDPC(DensityPeaksBase):
             # density scans are parallelised over cell chunks as usual
             # (threads under the process backend; the scan is identical
             # arithmetic on identical inputs on every backend).
-            centers = np.stack([cell.center for cell in cells])
-            radii = np.asarray(
-                [d_cut + cell.max_center_dist for cell in cells], dtype=np.float64
-            )
             centers_tree = KDTree(
                 centers,
                 leaf_size=self.leaf_size,
@@ -269,14 +270,11 @@ class ApproxDPC(DensityPeaksBase):
             )
             summaries = [summary for chunk in chunk_summaries for summary in chunk]
         elif self.engine_ == "batch":
-            centers = np.stack([cell.center for cell in cells])
-            radii = np.asarray(
-                [d_cut + cell.max_center_dist for cell in cells], dtype=np.float64
-            )
-
-            # Process-backend descriptor: the payload is sliced per chunk so
-            # each submission carries only its own cells' centers/radii/
-            # members; the tree and lattice travel through shared memory.
+            # One batch kd-tree traversal answers the joint range search of
+            # every cell in a chunk.  The payload is sliced per chunk so each
+            # process-backend submission carries only its own cells'
+            # centers/radii/members; the tree and lattice travel through
+            # shared memory.
             def payload_fn(chunk: np.ndarray) -> dict:
                 return {
                     "d_cut": d_cut,
@@ -286,30 +284,14 @@ class ApproxDPC(DensityPeaksBase):
                     "cell_keys": [cells[int(p)].key for p in chunk],
                 }
 
-            task = self._process_task(kernel_joint_density, payload_fn=payload_fn)
-
-            def process_cell_chunk(chunk: np.ndarray) -> list[CellDensitySummary]:
-                # One batch kd-tree traversal answers the joint range search
-                # of every cell in the chunk.
-                candidate_lists = tree.range_search_batch(
-                    centers[chunk], radii[chunk], strict=False
-                )
-                return [
-                    summarize(int(position), candidates)
-                    for position, candidates in zip(chunk, candidate_lists)
-                ]
-
-            chunk_summaries = self._executor.map_index_chunks(
-                process_cell_chunk, len(cells), task=task
-            )
+            task = self._chunk_task(kernel_joint_density, payload_fn=payload_fn)
+            chunk_summaries = self._executor.map_index_chunks(task, len(cells))
             summaries = [summary for chunk in chunk_summaries for summary in chunk]
         else:
             def process_cell(position: int) -> CellDensitySummary:
-                cell = cells[position]
-                # Joint range search: one kd-tree query whose ball covers
-                # every member's d_cut-ball.
-                radius = d_cut + cell.max_center_dist
-                candidates = tree.range_search(cell.center, radius, strict=False)
+                candidates = tree.range_search(
+                    centers[position], radii[position], strict=False
+                )
                 return summarize(position, candidates)
 
             summaries = self._executor.map(process_cell, list(range(len(cells))))
@@ -398,7 +380,7 @@ class ApproxDPC(DensityPeaksBase):
                 leaf_size=self.leaf_size,
                 n_partitions=self.n_partitions,
                 frontier_target=self.dual_frontier_,
-                process_task_builder=self._process_task,
+                task_builder=self._chunk_task,
             )
             dependent[undecided_arr] = outcome.dependent
             delta[undecided_arr] = outcome.delta

@@ -57,7 +57,11 @@ from repro.index.kdtree import (
     resolve_dual_frontier,
 )
 from repro.kernels import pair_distances_sq
-from repro.parallel.backends import kernel_dual_nn, kernel_partitioned_dependency
+from repro.parallel.backends import (
+    TaskBuilder,
+    kernel_dual_nn,
+    kernel_partitioned_dependency,
+)
 from repro.utils.counters import WorkCounter
 
 __all__ = [
@@ -362,7 +366,7 @@ def nearest_denser_join(
     leaf_size: int = 32,
     n_partitions: int | None = None,
     frontier_target: int | None = None,
-    process_task_builder=None,
+    task_builder=None,
     seed_dependent=None,
     seed_delta_sq=None,
 ) -> JoinOutcome:
@@ -374,10 +378,14 @@ def nearest_denser_join(
     partitioned second phase (``candidate_indices`` restricted to picked
     points).  ``engine`` selects the strategy -- partition-based
     (``"scalar"`` maps per-point queries, ``"batch"`` maps vectorised query
-    chunks) or the dual-tree nearest-denser join (``"dual"``) -- and
-    ``executor`` / ``process_task_builder`` plumb the estimator's execution
-    backend through, so results and work counters are identical on serial,
-    thread and process backends.
+    chunks) or the dual-tree nearest-denser join (``"dual"``).  The batch
+    and dual joins run as chunk tasks (:func:`kernel_partitioned_dependency`,
+    :func:`kernel_dual_nn`) on ``executor``; ``task_builder`` makes their
+    tasks with the call signature of
+    :class:`~repro.parallel.backends.TaskBuilder` (an estimator passes
+    ``_chunk_task``, reusing its fit's shared segment), and without one the
+    join builds its own over ``points`` and ``tree`` for the call.  Results
+    and work counters are identical on serial, thread and process backends.
 
     ``tree`` is the caller's fitted kd-tree over *all* points; the dual
     engine joins against it directly when the candidate set is unrestricted
@@ -410,85 +418,87 @@ def nearest_denser_join(
             cost_estimates=np.empty(0, dtype=np.float64),
         )
 
-    if engine == "dual":
-        frontier = resolve_dual_frontier(frontier_target)
-        if frontier == DUAL_FRONTIER_AUTO:
-            # Scale-aware deterministic default: a function of the query
-            # count and leaf size only, so results replay identically.
-            frontier = adaptive_dual_frontier(n_q, leaf_size)
-        dependent, delta, memory_bytes = _dual_join(
+    own_builder = None
+    if task_builder is None:
+        task_builder = own_builder = TaskBuilder(
+            executor.backend, points, tree, counter=counter
+        )
+    try:
+        if engine == "dual":
+            frontier = resolve_dual_frontier(frontier_target)
+            if frontier == DUAL_FRONTIER_AUTO:
+                # Scale-aware deterministic default: a function of the query
+                # count and leaf size only, so results replay identically.
+                frontier = adaptive_dual_frontier(n_q, leaf_size)
+            dependent, delta, memory_bytes = _dual_join(
+                points,
+                rho,
+                qi,
+                candidate_indices,
+                tree,
+                leaf_size,
+                frontier,
+                executor,
+                counter,
+                task_builder,
+                seed_dependent,
+                seed_delta_sq,
+            )
+            return JoinOutcome(
+                dependent=dependent,
+                delta=delta,
+                memory_bytes=memory_bytes,
+                cost_estimates=np.ones(n_q, dtype=np.float64),
+            )
+
+        searcher = PartitionedDependencySearcher(
             points,
             rho,
-            qi,
-            candidate_indices,
-            tree,
-            leaf_size,
-            frontier,
-            executor,
-            counter,
-            process_task_builder,
-            seed_dependent,
-            seed_delta_sq,
+            candidate_indices=candidate_indices,
+            n_partitions=n_partitions,
+            leaf_size=leaf_size,
+            counter=counter,
         )
+        q_arr = qi if qi is not None else np.arange(n, dtype=np.intp)
+        if engine == "batch":
+            # In-process the task queries this searcher; process workers
+            # rebuild it once per phase (cached by the token in the payload)
+            # from the shared point matrix plus the small deterministic
+            # construction parameters instead of unpickling its trees.
+            token = secrets.token_hex(8)
+            payload = {"token": token, "undecided": q_arr}
+            payload.update(searcher.shared_query_params())
+            task = task_builder(
+                kernel_partitioned_dependency, payload, state={token: searcher}
+            )
+            resolutions = executor.map_index_chunks(
+                task, n_q, chunks_per_worker=_chunks_per_worker(executor)
+            )
+            dependent = np.concatenate([r[0] for r in resolutions])
+            delta = np.concatenate([r[1] for r in resolutions])
+        else:
+            def resolve(index: int) -> tuple[int, float]:
+                return searcher.query(int(index))
+
+            resolved = executor.map(resolve, list(q_arr))
+            dependent = np.asarray([r[0] for r in resolved], dtype=np.intp)
+            delta = np.asarray([r[1] for r in resolved], dtype=np.float64)
+
         return JoinOutcome(
             dependent=dependent,
             delta=delta,
-            memory_bytes=memory_bytes,
-            cost_estimates=np.ones(n_q, dtype=np.float64),
+            memory_bytes=searcher.memory_bytes(),
+            cost_estimates=searcher.query_costs(rho[q_arr]),
         )
+    finally:
+        if own_builder is not None:
+            own_builder.close()
 
-    searcher = PartitionedDependencySearcher(
-        points,
-        rho,
-        candidate_indices=candidate_indices,
-        n_partitions=n_partitions,
-        leaf_size=leaf_size,
-        counter=counter,
-    )
-    q_arr = qi if qi is not None else np.arange(n, dtype=np.intp)
-    if engine == "batch":
-        task = None
-        if process_task_builder is not None:
-            # Under the process backend the searcher itself is not pickled:
-            # each worker rebuilds it once per phase (cached by the token in
-            # the payload) from the shared point matrix plus the small
-            # deterministic construction parameters.
-            payload = {
-                "token": secrets.token_hex(8),
-                "undecided": q_arr,
-                **searcher.shared_query_params(),
-            }
-            task = process_task_builder(kernel_partitioned_dependency, payload)
 
-        def resolve_chunk(chunk: np.ndarray):
-            return searcher.query_batch(q_arr[chunk])
-
-        # On the process path the payload above is O(n) and re-pickled per
-        # submission, so one chunk per worker beats the default
-        # oversubscription; the thread path pickles nothing and keeps the
-        # finer default split for skew tolerance.
-        resolutions = executor.map_index_chunks(
-            resolve_chunk,
-            n_q,
-            chunks_per_worker=1 if task is not None else 4,
-            task=task,
-        )
-        dependent = np.concatenate([r[0] for r in resolutions])
-        delta = np.concatenate([r[1] for r in resolutions])
-    else:
-        def resolve(index: int) -> tuple[int, float]:
-            return searcher.query(int(index))
-
-        resolved = executor.map(resolve, list(q_arr))
-        dependent = np.asarray([r[0] for r in resolved], dtype=np.intp)
-        delta = np.asarray([r[1] for r in resolved], dtype=np.float64)
-
-    return JoinOutcome(
-        dependent=dependent,
-        delta=delta,
-        memory_bytes=searcher.memory_bytes(),
-        cost_estimates=searcher.query_costs(rho[q_arr]),
-    )
+def _chunks_per_worker(executor) -> int:
+    # Process payloads carry O(n) arrays pickled per submission: one chunk
+    # per worker beats the default split that in-process runs keep.
+    return 1 if executor.backend == "process" else 4
 
 
 def build_join_trees(
@@ -505,8 +515,8 @@ def build_join_trees(
 
     Returns ``(data_tree, rho_data, queries_tree, rho_q, cand_sorted)``.
     This is the SINGLE construction path shared by the driver
-    (:func:`_dual_join`) and the process-backend worker
-    (:func:`repro.parallel.backends.kernel_dual_nn`): construction is
+    (:func:`_dual_join`) and the process-backend worker's rebuild in
+    :func:`repro.parallel.backends.kernel_dual_nn`: construction is
     deterministic in its inputs, so a worker rebuilding the trees from the
     shared point matrix reproduces the driver's node ids -- and therefore
     its frontier decomposition -- exactly.  ``data_tree`` (the caller's
@@ -554,7 +564,7 @@ def _dual_join(
     frontier_target: int,
     executor,
     counter: WorkCounter,
-    process_task_builder,
+    task_builder,
     seed_dependent=None,
     seed_delta_sq=None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -571,39 +581,29 @@ def _dual_join(
     n_q = rho_q.shape[0]
 
     q_nodes = queries_tree.node_frontier(frontier_target)
-    task = None
-    if process_task_builder is not None:
-        token = secrets.token_hex(8)
+    token = secrets.token_hex(8)
 
-        def payload_fn(chunk: np.ndarray) -> dict:
-            return {
-                "token": token,
-                "rho": rho,
-                "undecided": qi,
-                "candidates": cand_sorted,
-                "leaf_size": leaf_size,
-                "q_nodes": q_nodes[chunk],
-            }
+    def payload_fn(chunk: np.ndarray) -> dict:
+        return {
+            "token": token,
+            "rho": rho,
+            "undecided": qi,
+            "candidates": cand_sorted,
+            "leaf_size": leaf_size,
+            "q_nodes": q_nodes[chunk],
+            "seed_idx": seed_dependent,
+            "seed_sq": seed_delta_sq,
+        }
 
-        task = process_task_builder(kernel_dual_nn, payload_fn=payload_fn)
-
-    def join_chunk(chunk: np.ndarray):
-        idx, dist = data_tree.nn_dual_vs(
-            queries_tree,
-            rho_data,
-            rho_q,
-            q_nodes=q_nodes[chunk],
-            seed_idx=seed_dependent,
-            seed_sq=seed_delta_sq,
-        )
-        cov = queries_tree.node_positions(q_nodes[chunk])
-        return cov, idx[cov], dist[cov]
-
+    # In-process the task joins the trees built above; process workers
+    # rebuild them once per phase from the shared points (same node ids).
+    task = task_builder(
+        kernel_dual_nn,
+        payload_fn=payload_fn,
+        state={token: (data_tree, rho_data, queries_tree, rho_q)},
+    )
     results = executor.map_index_chunks(
-        join_chunk,
-        len(q_nodes),
-        chunks_per_worker=1 if task is not None else 4,
-        task=task,
+        task, len(q_nodes), chunks_per_worker=_chunks_per_worker(executor)
     )
     dependent = np.full(n_q, -1, dtype=np.intp)
     delta = np.full(n_q, np.inf, dtype=np.float64)

@@ -51,13 +51,52 @@ from repro.index.kdtree import (
     KDTree,
     check_storage_dtype,
 )
-from repro.parallel.backends import (
-    kernel_dual_self_count,
-    kernel_range_count,
-    pack_tree_arrays,
-)
+from repro.parallel.backends import kernel_dual_self_count, kernel_range_count
 
-__all__ = ["ExDPC"]
+__all__ = ["ExDPC", "strict_self_counts"]
+
+
+def strict_self_counts(
+    tree: KDTree,
+    d_cut: float,
+    *,
+    engine: str,
+    dual_frontier: int,
+    executor,
+    task_builder,
+) -> np.ndarray:
+    """Strict ``d_cut`` self-count of every point of ``tree`` (caller order).
+
+    The density dispatch of Ex-DPC and of every shard of
+    :class:`repro.shard.fit.ShardedDPC`.  ``"dual"`` counts a fixed
+    frontier of node-pair work units (the canonical chunking on every
+    backend, so counts *and* work counters match the serial run bit for
+    bit), ``"batch"`` contiguous point chunks, both as chunk tasks from
+    ``task_builder``; ``"scalar"`` maps one range count per point.
+    """
+    n = tree.size
+    if engine == "dual":
+        pairs, base = tree.dual_self_frontier(
+            d_cut, strict=True, target_pairs=dual_frontier
+        )
+        task = task_builder(
+            kernel_dual_self_count,
+            payload_fn=lambda chunk: {"d_cut": d_cut, "pairs": pairs[chunk]},
+        )
+        rho = base.astype(np.float64)
+        for contribution in executor.map_index_chunks(task, len(pairs)):
+            rho += contribution
+        return rho
+    if engine == "batch":
+        task = task_builder(kernel_range_count, {"d_cut": d_cut})
+        counts = executor.map_index_chunks(task, n)
+        return np.concatenate(counts).astype(np.float64)
+    points = tree.source_points
+
+    def density_of(index: int) -> int:
+        return tree.range_count(points[index], d_cut, strict=True)
+
+    return np.asarray(executor.map(density_of, list(range(n))), dtype=np.float64)
 
 
 class ExDPC(DensityPeaksBase):
@@ -138,65 +177,22 @@ class ExDPC(DensityPeaksBase):
     def _index_memory_bytes(self) -> int:
         return self._tree.memory_bytes() if self._tree is not None else 0
 
-    def _shared_arrays(self):
-        return pack_tree_arrays(self._tree)
-
     # ---------------------------------------------------------------- density
 
     def _compute_local_density(self, points: np.ndarray) -> np.ndarray:
-        tree = self._tree
-        n = points.shape[0]
-
-        if self.engine_ == "dual":
-            # Dual-tree self-join: expand the (root, root) pair into a fixed
-            # frontier of independent node-pair work units, then traverse
-            # each unit's subjoin.  The frontier is the canonical chunking
-            # for every backend -- under the process backend the pair slices
-            # ship as picklable tasks against the shared-memory tree -- so
-            # counts *and* work counters match the serial run bit for bit.
-            pairs, base = tree.dual_self_frontier(
-                self.d_cut, strict=True, target_pairs=self.dual_frontier_
-            )
-            task = self._process_task(
-                kernel_dual_self_count,
-                payload_fn=lambda chunk: {"d_cut": self.d_cut, "pairs": pairs[chunk]},
-            )
-
-            def count_pair_chunk(chunk: np.ndarray) -> np.ndarray:
-                return tree.range_count_dual_pairs(
-                    pairs[chunk], self.d_cut, strict=True
-                )
-
-            contributions = self._executor.map_index_chunks(
-                count_pair_chunk, len(pairs), task=task
-            )
-            rho = base.astype(np.float64)
-            for contribution in contributions:
-                rho += contribution
-        elif self.engine_ == "batch":
-            # Chunked batch queries: each worker answers a contiguous block of
-            # points with one vectorised tree traversal.  Under the process
-            # backend the same computation runs as a picklable chunk task
-            # against the shared-memory copy of the flattened tree.
-            task = self._process_task(kernel_range_count, {"d_cut": self.d_cut})
-
-            def density_of_chunk(chunk: np.ndarray) -> np.ndarray:
-                return tree.range_count_batch(points[chunk], self.d_cut, strict=True)
-
-            counts = self._executor.map_index_chunks(density_of_chunk, n, task=task)
-            rho = np.concatenate(counts).astype(np.float64)
-        else:
-            def density_of(index: int) -> int:
-                return tree.range_count(points[index], self.d_cut, strict=True)
-
-            rho = np.asarray(
-                self._executor.map(density_of, list(range(n))), dtype=np.float64
-            )
+        rho = strict_self_counts(
+            self._tree,
+            self.d_cut,
+            engine=self.engine_,
+            dual_frontier=self.dual_frontier_,
+            executor=self._executor,
+            task_builder=self._chunk_task,
+        )
 
         # The range-search cost of point i is O(n^{1-1/d} + rho_i); the paper
         # parallelises this loop with dynamic scheduling because rho_i is not
         # known beforehand.
-        traversal = float(n ** (1.0 - 1.0 / points.shape[1]))
+        traversal = float(points.shape[0] ** (1.0 - 1.0 / points.shape[1]))
         self._record_phase("local_density", "dynamic", rho + traversal)
         return rho
 
@@ -224,7 +220,7 @@ class ExDPC(DensityPeaksBase):
                 tree=self._tree,
                 leaf_size=self.leaf_size,
                 frontier_target=self.dual_frontier_,
-                process_task_builder=self._process_task,
+                task_builder=self._chunk_task,
             )
             self._record_phase("dependency", "dynamic", outcome.cost_estimates)
             return outcome.dependent, outcome.delta, exact_mask

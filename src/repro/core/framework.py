@@ -40,13 +40,8 @@ from repro.index.kdtree import (
 )
 from repro.kernels import resolve_kernel
 from repro.core.result import DPCResult, canonical_rho_raw
-from repro.parallel.backends import (
-    ChunkTask,
-    pack_tree_arrays,
-    resolve_backend,
-)
+from repro.parallel.backends import ChunkTask, TaskBuilder, resolve_backend
 from repro.parallel.executor import ParallelExecutor, resolve_n_jobs
-from repro.parallel.shm import SharedArrayBundle
 from repro.parallel.simulate import SimulatedMulticore
 from repro.utils.counters import WorkCounter
 from repro.utils.rng import draw_tiebreak_jitter, ensure_rng
@@ -82,8 +77,11 @@ ENGINE_CHOICES = ENGINES + ("auto",)
 #: (d = 2..5: the nearest-denser join is 2.4-5.4x faster than batch
 #: throughout, and the density self-join wins or ties except a ~0.8x
 #: residual at d=4 caused by node-granular pruning visiting ~1.2x more
-#: pairs, not by arithmetic; see docs/performance.md).  Above the measured
-#: range ``"auto"`` stays with the batch engine pending measurement.
+#: pairs, not by arithmetic; see docs/performance.md).  Above it
+#: ``"auto"`` stays with the batch engine: the d=6/8/12 rows of the same
+#: table put dual's dependency join at 0.44-0.82x of batch on uniform data.
+#: Clustered data can flip that sign (the d=8 Sensor stand-in fits faster
+#: under dual); ROADMAP item 7 tracks a data-driven choice.
 AUTO_DUAL_MAX_DIM = 5
 
 #: Environment variable naming the engine used when an estimator is built
@@ -148,9 +146,11 @@ class DensityPeaksBase(abc.ABC):
         Execution backend for the parallel phases: ``"serial"``, ``"thread"``
         or ``"process"`` (see ``docs/parallel.md``).  ``None`` (default)
         reads the ``REPRO_DEFAULT_BACKEND`` environment variable and falls
-        back to ``"thread"``.  The process backend ships the batch-engine
-        phases to worker processes as picklable index-chunk tasks reading the
-        dataset and the flattened kd-tree through shared memory; all three
+        back to ``"thread"``.  Every phase with a chunk kernel (the batch
+        and dual density phases and the exact dependency joins) runs that
+        one kernel on every backend: in the calling thread or a thread pool
+        over the estimator's own tree, or in worker processes reading the
+        dataset and the flattened kd-tree through shared memory.  All three
         backends produce bit-for-bit identical results (property-tested).
     seed:
         Seed for the density tie-breaking perturbation (and any internal
@@ -324,7 +324,7 @@ class DensityPeaksBase(abc.ABC):
         self._profile = profile
         self._executor = ParallelExecutor(self.n_jobs, backend=self.backend)
         self._counter = WorkCounter()
-        self._shared_bundle = None
+        self._task_builder = None
         timings: dict[str, float] = {}
         work: dict[str, float] = {}
 
@@ -797,45 +797,41 @@ class DensityPeaksBase(abc.ABC):
 
     def _shared_memory_bytes(self) -> int:
         """Size of the shared-memory segment published for the process backend."""
-        bundle = getattr(self, "_shared_bundle", None)
-        return bundle.nbytes if bundle is not None else 0
+        builder = getattr(self, "_task_builder", None)
+        return builder.nbytes if builder is not None else 0
 
-    # ------------------------------------------------------- process backend
+    # ---------------------------------------------------------- chunk kernels
 
-    def _shared_arrays(self) -> dict[str, np.ndarray] | None:
-        """Arrays to publish to worker processes (subclass hook).
+    def _kernel_arrays(self) -> dict[str, np.ndarray]:
+        """Arrays the chunk kernels read besides the points and the tree.
 
-        Subclasses with process kernels return a flat name -> array mapping
-        (typically the point matrix plus the flattened kd-tree via
-        :func:`repro.parallel.backends.pack_tree_arrays`); ``None`` (the
-        default) means the algorithm has no process kernels and its phases
-        fall back to the thread path under the process backend.
+        Subclass hook: the grid algorithms return their point-to-cell
+        lattice.  Published with the tree on the process backend, handed to
+        the in-process context otherwise.
         """
-        return None
+        return {}
 
-    def _process_task(self, kernel, payload=None, payload_fn=None) -> ChunkTask | None:
-        """Build the process-backend task descriptor for one parallel phase.
+    def _chunk_task(
+        self, kernel, payload=None, payload_fn=None, state=None
+    ) -> ChunkTask:
+        """Build the chunk task of one kernel phase of this fit.
 
-        Returns ``None`` unless this fit runs on the process backend and the
-        subclass publishes shared arrays; the caller then simply passes the
-        result as ``task=`` to ``map_index_chunks``, keeping the serial and
-        thread paths untouched.  The backing shared-memory segment is created
-        on first use and reused by every later phase of the same fit.
+        Tasks run over the fitted tree (``self._tree``) and
+        :meth:`_kernel_arrays` through one :class:`TaskBuilder` per fit, so
+        the process backend's shared-memory segment is created on first use
+        and reused by every later phase of the same fit.  ``state`` seeds
+        the in-process context with structures the phase already built.
         """
-        if self._executor.backend != "process":
-            return None
-        if self._shared_bundle is None:
-            arrays = self._shared_arrays()
-            if arrays is None:
-                return None
-            self._shared_bundle = SharedArrayBundle.create(arrays)
-        return ChunkTask(
-            kernel=kernel,
-            spec=self._shared_bundle.spec,
-            payload=payload or {},
-            payload_fn=payload_fn,
-            counter=self._counter,
-        )
+        if self._task_builder is None:
+            tree = self._tree
+            self._task_builder = TaskBuilder(
+                self._executor.backend,
+                tree.source_points,
+                tree,
+                arrays=self._kernel_arrays(),
+                counter=self._counter,
+            )
+        return self._task_builder(kernel, payload, payload_fn, state)
 
     def _release_parallel_resources(self) -> None:
         """Tear down the worker pool and the shared-memory segment (fit end).
@@ -847,8 +843,7 @@ class DensityPeaksBase(abc.ABC):
         executor = getattr(self, "_executor", None)
         if executor is not None:
             executor.close()
-        bundle = getattr(self, "_shared_bundle", None)
-        if bundle is not None:
-            bundle.close()
-            bundle.unlink()
-            self._shared_bundle = None
+        builder = getattr(self, "_task_builder", None)
+        if builder is not None:
+            builder.close()
+            self._task_builder = None

@@ -45,7 +45,7 @@ from repro.core.framework import DensityPeaksBase
 from repro.index.grid import distinct_lattice_keys
 from repro.index.kdtree import KDTree, check_storage_dtype
 from repro.index.sample_grid import SampledGrid
-from repro.parallel.backends import kernel_picked_density, pack_tree_arrays
+from repro.parallel.backends import kernel_picked_density
 from repro.utils.counters import WorkCounter
 from repro.utils.distance import point_to_points_sq
 from repro.utils.validation import check_positive
@@ -147,10 +147,8 @@ class SApproxDPC(DensityPeaksBase):
             total += self._grid.memory_bytes()
         return total + self._fallback_memory
 
-    def _shared_arrays(self):
-        arrays = pack_tree_arrays(self._tree)
-        arrays["lattice"] = self._grid.lattice
-        return arrays
+    def _kernel_arrays(self):
+        return {"lattice": self._grid.lattice}
 
     # ---------------------------------------------------------------- density
 
@@ -163,6 +161,7 @@ class SApproxDPC(DensityPeaksBase):
         rho = np.zeros(n, dtype=np.float64)
 
         cells = grid.cells()
+        picked_arr = np.asarray([cell.picked for cell in cells], dtype=np.intp)
         costs = np.zeros(len(cells), dtype=np.float64)
 
         def summarize(position: int, neighbors: np.ndarray) -> tuple[float, list]:
@@ -180,7 +179,6 @@ class SApproxDPC(DensityPeaksBase):
             # straight from the permutation, no distance computations); the
             # per-cell summaries then run over the identical neighbour sets
             # the batch engine produces.
-            picked_arr = np.asarray([cell.picked for cell in cells], dtype=np.intp)
             picked_tree = KDTree(
                 points[picked_arr],
                 leaf_size=self.leaf_size,
@@ -203,33 +201,16 @@ class SApproxDPC(DensityPeaksBase):
             )
             summaries = [summary for chunk in chunk_results for summary in chunk]
         elif self.engine_ == "batch":
-            picked_arr = np.asarray([cell.picked for cell in cells], dtype=np.intp)
-
-            task = self._process_task(
+            task = self._chunk_task(
                 kernel_picked_density,
-                payload_fn=lambda chunk: {
-                    "d_cut": d_cut,
-                    "picked": picked_arr[chunk],
-                },
+                payload_fn=lambda chunk: {"d_cut": d_cut, "picked": picked_arr[chunk]},
             )
-
-            def process_cell_chunk(chunk: np.ndarray) -> list[tuple[float, list]]:
-                neighbor_lists = tree.range_search_batch(
-                    points[picked_arr[chunk]], d_cut, strict=True
-                )
-                return [
-                    summarize(int(position), neighbors)
-                    for position, neighbors in zip(chunk, neighbor_lists)
-                ]
-
-            chunk_results = self._executor.map_index_chunks(
-                process_cell_chunk, len(cells), task=task
-            )
+            chunk_results = self._executor.map_index_chunks(task, len(cells))
             summaries = [summary for chunk in chunk_results for summary in chunk]
         else:
             def process_cell(position: int) -> tuple[float, list]:
                 neighbors = tree.range_search(
-                    points[cells[position].picked], d_cut, strict=True
+                    points[picked_arr[position]], d_cut, strict=True
                 )
                 return summarize(position, neighbors)
 
@@ -394,7 +375,7 @@ class SApproxDPC(DensityPeaksBase):
             tree=self._tree,
             leaf_size=self.leaf_size,
             frontier_target=self.dual_frontier_,
-            process_task_builder=self._process_task,
+            task_builder=self._chunk_task,
         )
         dependent[undecided_arr] = outcome.dependent
         delta[undecided_arr] = outcome.delta

@@ -15,24 +15,29 @@ independent callables (or a function mapped over a list of task descriptors).
   multicore speedups, matching the paper's multicore target.
 
 The executor keeps deterministic result ordering, eager error propagation,
-and no hidden state beyond the lazily created worker pool (release it with
-:meth:`ParallelExecutor.close`).  Closure-based entry points (``map``,
-``map_chunks``) cannot cross a process boundary, so under the process backend
-they degrade to threads; only descriptor-based chunk tasks
-(:meth:`ParallelExecutor.map_index_chunks` with ``task=...``) are shipped to
-worker processes.  Results are identical either way (property-tested).
+and no hidden state beyond the lazily created worker pools (release them with
+:meth:`ParallelExecutor.close`).  Phases with a chunk kernel pass a
+:class:`repro.parallel.backends.ChunkTask` to
+:meth:`ParallelExecutor.map_index_chunks`: worker processes run it against
+shared memory under the process backend, and the calling thread or a thread
+pool runs the same kernel against an in-process context otherwise.
+Closure-based entry points (``map``, ``map_chunks``, ``map_index_chunks``
+with a function) cannot cross a process boundary, so under the process
+backend they run on threads.  Results are identical either way
+(property-tested).
 
 Chunked batch execution
 -----------------------
-The vectorised ``engine="batch"`` code paths do not map one task per point --
-per-task Python overhead would swamp the numpy kernels.  Instead the caller
-splits the index range into a few contiguous chunks per worker
-(:func:`split_indices` / :meth:`ParallelExecutor.map_index_chunks`) and each
-worker answers its whole chunk with one batch kd-tree query.  With one worker
-the entire range becomes a single chunk, which maximises the vectorised work
-per Python call; with ``t`` workers a small multiple of ``t`` chunks keeps the
-pool busy while chunk costs are skewed.  See ``docs/parallel.md`` and
-``docs/performance.md`` for the design and measurements.
+The vectorised code paths of the batch and dual engines do not map one task
+per point -- per-task Python overhead would swamp the numpy kernels.  Instead
+the caller splits the index range (points, cells or frontier units) into a
+few contiguous chunks per worker (:func:`split_indices` /
+:meth:`ParallelExecutor.map_index_chunks`) and each worker answers its whole
+chunk with one vectorised kd-tree call.  With one worker the entire range
+becomes a single chunk, which maximises the vectorised work per Python call;
+with ``t`` workers a small multiple of ``t`` chunks keeps the pool busy while
+chunk costs are skewed.  See ``docs/parallel.md`` and ``docs/performance.md``
+for the design and measurements.
 """
 
 from __future__ import annotations
@@ -167,37 +172,33 @@ class ParallelExecutor:
 
     def map_index_chunks(
         self,
-        func: Callable[[np.ndarray], R],
+        work: Callable[[np.ndarray], R] | ChunkTask,
         n_items: int,
         chunks_per_worker: int = 4,
-        *,
-        task: ChunkTask | None = None,
     ) -> list[R]:
-        """Apply ``func`` to contiguous index chunks covering ``range(n_items)``.
+        """Apply ``work`` to contiguous index chunks covering ``range(n_items)``.
 
-        This is the entry point of the vectorised batch engine: with one
-        worker the whole range is a single chunk (one batch kd-tree call);
-        with ``t`` workers the range is split into ``t * chunks_per_worker``
-        chunks so the pool stays busy even when chunk costs are skewed.
-        Results are returned in index (chunk) order; concatenating them
-        restores per-item ordering.
+        With one worker the whole range is a single chunk (one vectorised
+        call); with ``t`` workers the range is split into
+        ``t * chunks_per_worker`` chunks so the pool stays busy even when
+        chunk costs are skewed.  Results are returned in index (chunk)
+        order; concatenating them restores per-item ordering.
 
-        ``task`` is the process-backend counterpart of ``func``: a picklable
-        :class:`~repro.parallel.backends.ChunkTask` descriptor performing the
-        same computation against shared-memory arrays.  It is used only when
-        this executor's backend is ``"process"``; callers that have no
-        process kernel simply pass ``None`` and fall back to threads.
+        ``work`` is either a closure ``func(chunk)``, which runs in this
+        process (threads under the process backend), or a
+        :class:`~repro.parallel.backends.ChunkTask`, whose kernel runs in
+        worker processes against the task's shared segment under the
+        process backend and in this process against the task's context on
+        the serial and thread backends.
         """
-        if self._backend == "process" and task is not None:
-            return self._map_process_chunks(task, n_items, chunks_per_worker)
-        return self.map_chunks(
-            func, split_indices(n_items, self._n_chunks(chunks_per_worker))
-        )
-
-    def _map_process_chunks(
-        self, task: ChunkTask, n_items: int, chunks_per_worker: int
-    ) -> list:
         chunks = split_indices(n_items, self._n_chunks(chunks_per_worker))
+        if isinstance(work, ChunkTask):
+            if self._backend == "process":
+                return self._map_process_chunks(work, chunks)
+            work = work.run_local
+        return self.map_chunks(work, chunks)
+
+    def _map_process_chunks(self, task: ChunkTask, chunks: list[np.ndarray]) -> list:
         if not chunks:
             return []
         pool = self._ensure_pool()

@@ -62,17 +62,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.dependency_join import nearest_denser_join
-from repro.core.ex_dpc import ExDPC
+from repro.core.ex_dpc import ExDPC, strict_self_counts
 from repro.index.kdtree import KDTree
 from repro.kernels import pair_distances_sq, squared_norms
-from repro.parallel.backends import (
-    ChunkTask,
-    kernel_dual_self_count,
-    kernel_range_count,
-    pack_tree_arrays,
-)
+from repro.parallel.backends import TaskBuilder
 from repro.parallel.executor import ParallelExecutor, resolve_n_jobs
-from repro.parallel.shm import SharedArrayBundle
 from repro.shard.partition import (
     ShardPlan,
     plan_shards,
@@ -363,11 +357,6 @@ class ShardedDPC(ExDPC):
             total += tree.source_points.nbytes
         return int(total)
 
-    def _shared_arrays(self):
-        # The base-class fit-wide bundle would map the whole dataset at once;
-        # sharded phases build their own per-shard bundles instead.
-        return None
-
     def _predict_tree(self):
         return None
 
@@ -375,8 +364,10 @@ class ShardedDPC(ExDPC):
 
     @contextmanager
     def _shard_runtime(self, tree: KDTree, counter: WorkCounter | None = None):
-        """Executor + process-task builder scoped to one shard stage.
+        """Executor + chunk-task builder scoped to one shard stage.
 
+        The builder is a :class:`~repro.parallel.backends.TaskBuilder` over
+        the shard tree, the same kind that serves an unsharded fit.
         Thread/serial backends reuse the fit-wide executor (no shared
         memory involved).  The process backend gets a *fresh* pool and a
         lazily created per-shard segment: worker processes cache attached
@@ -385,99 +376,47 @@ class ShardedDPC(ExDPC):
         out-of-core bound.  Pool and segment are torn down before the next
         stage of the same shard starts.  The pool gets ``n_jobs`` split
         across the pipeline's concurrent stages, so live worker processes
-        never exceed ``n_jobs``.  ``counter`` receives the worker-side
-        distance counts (default: the fit-wide counter); the pipeline passes
-        its phase counters so density and dependency work stay attributed
-        to the fit phase they belong to.
+        never exceed ``n_jobs``.  ``counter`` receives the stage's distance
+        counts (default: the fit-wide counter); the pipeline passes its
+        phase counters so density and dependency work stay attributed to
+        the fit phase they belong to.
         """
         if counter is None:
             counter = self._counter
-        fit_executor = getattr(self, "_executor", None)
-        if fit_executor is not None and fit_executor.backend != "process":
-            yield fit_executor, lambda kernel, payload=None, payload_fn=None: None
-            return
-
-        executor = ParallelExecutor(self._stage_n_jobs, backend=self.backend)
-        bundle_box: list[SharedArrayBundle | None] = [None]
-
-        def builder(kernel, payload=None, payload_fn=None):
-            if bundle_box[0] is None:
-                bundle_box[0] = SharedArrayBundle.create(pack_tree_arrays(tree))
-                stats = getattr(self, "shard_stats_", None)
-                if stats is not None:
-                    with _SHM_STATS_LOCK:
-                        stats["shm_peak_bytes"] = max(
-                            stats["shm_peak_bytes"], bundle_box[0].nbytes
-                        )
-            return ChunkTask(
-                kernel=kernel,
-                spec=bundle_box[0].spec,
-                payload=payload or {},
-                payload_fn=payload_fn,
-                counter=counter,
-            )
-
+        executor = getattr(self, "_executor", None)
+        owned = executor is None or executor.backend == "process"
+        if owned:
+            executor = ParallelExecutor(self._stage_n_jobs, backend=self.backend)
+        builder = TaskBuilder(
+            executor.backend, tree.source_points, tree, counter=counter
+        )
         try:
             yield executor, builder
         finally:
-            executor.close()
-            if bundle_box[0] is not None:
-                bundle_box[0].close()
-                bundle_box[0].unlink()
+            if owned:
+                executor.close()
+            stats = getattr(self, "shard_stats_", None)
+            if stats is not None and builder.nbytes:
+                with _SHM_STATS_LOCK:
+                    stats["shm_peak_bytes"] = max(
+                        stats["shm_peak_bytes"], builder.nbytes
+                    )
+            builder.close()
 
     # ------------------------------------------------- per-shard density blocks
 
     def _shard_self_counts(
-        self,
-        tree: KDTree,
-        shard_points: np.ndarray,
-        counter: WorkCounter | None = None,
+        self, tree: KDTree, counter: WorkCounter | None = None
     ) -> np.ndarray:
-        """One shard's strict self-counts, mirroring Ex-DPC's engine dispatch."""
-        count = shard_points.shape[0]
+        """One shard's strict self-counts (Ex-DPC's density dispatch)."""
         with self._shard_runtime(tree, counter=counter) as (executor, task_builder):
-            if self.engine_ == "dual":
-                pairs, base = tree.dual_self_frontier(
-                    self.d_cut, strict=True, target_pairs=self.dual_frontier_
-                )
-                task = task_builder(
-                    kernel_dual_self_count,
-                    payload_fn=lambda chunk: {
-                        "d_cut": self.d_cut,
-                        "pairs": pairs[chunk],
-                    },
-                )
-
-                def count_pair_chunk(chunk: np.ndarray) -> np.ndarray:
-                    return tree.range_count_dual_pairs(
-                        pairs[chunk], self.d_cut, strict=True
-                    )
-
-                contributions = executor.map_index_chunks(
-                    count_pair_chunk, len(pairs), task=task
-                )
-                rho = base.astype(np.float64)
-                for contribution in contributions:
-                    rho += contribution
-                return rho
-            if self.engine_ == "batch":
-                task = task_builder(kernel_range_count, {"d_cut": self.d_cut})
-
-                def density_of_chunk(chunk: np.ndarray) -> np.ndarray:
-                    return tree.range_count_batch(
-                        shard_points[chunk], self.d_cut, strict=True
-                    )
-
-                counts = executor.map_index_chunks(
-                    density_of_chunk, count, task=task
-                )
-                return np.concatenate(counts).astype(np.float64)
-
-            def density_of(index: int) -> int:
-                return tree.range_count(shard_points[index], self.d_cut, strict=True)
-
-            return np.asarray(
-                executor.map(density_of, list(range(count))), dtype=np.float64
+            return strict_self_counts(
+                tree,
+                self.d_cut,
+                engine=self.engine_,
+                dual_frontier=self.dual_frontier_,
+                executor=executor,
+                task_builder=task_builder,
             )
 
     def _shard_axis_coords(
@@ -597,7 +536,7 @@ class ShardedDPC(ExDPC):
                 tree=tree,
                 leaf_size=self.leaf_size,
                 frontier_target=self.dual_frontier_,
-                process_task_builder=task_builder,
+                task_builder=task_builder,
             )
 
     def _apply_local_join(
@@ -716,11 +655,32 @@ class ShardedDPC(ExDPC):
             ).astype(np.float64)
         return counts
 
+    def _shard_densities(self) -> list[np.ndarray]:
+        """Per-shard slices of ``rho_`` with the shard trees' bounds attached.
+
+        Cached per fitted result, so every predict joins against the same
+        array objects and hits each tree's identity-keyed density-bounds
+        cache instead of rerunning the per-node max sweep.  A tree restored
+        from a manifest that carries its ``rho_max`` adopts it unswept.
+        """
+        result = self.result_
+        cached = getattr(self, "_shard_rho_cache", None)
+        if cached is not None and cached[0] is result:
+            return cached[1]
+        rho = np.asarray(result.rho_, dtype=np.float64)
+        densities = []
+        for members, tree in zip(self._plan.members, self._shard_trees):
+            shard_rho = np.ascontiguousarray(rho[members])
+            tree.attach_density_bounds(shard_rho, node_max=tree.arrays.rho_max)
+            densities.append(shard_rho)
+        self._shard_rho_cache = (result, densities)
+        return densities
+
     def _predict_attach(
         self, queries: np.ndarray, rho_q: np.ndarray, executor
     ) -> np.ndarray:
         plan = self._plan
-        rho_train = np.asarray(self.result_.rho_, dtype=np.float64)
+        shard_rho = self._shard_densities()
         n_q = queries.shape[0]
         if n_q == 0:
             return np.empty(0, dtype=np.intp)
@@ -748,7 +708,7 @@ class ShardedDPC(ExDPC):
                     continue
                 members = plan.members[shard]
                 query_tree = KDTree.for_queries(queries[rows], tree, dtype="float64")
-                idx, _ = tree.nn_dual_vs(query_tree, rho_train[members], rho_q[rows])
+                idx, _ = tree.nn_dual_vs(query_tree, shard_rho[shard], rho_q[rows])
                 found = np.flatnonzero(idx >= 0)
                 if found.size == 0:
                     continue

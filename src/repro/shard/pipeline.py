@@ -292,9 +292,7 @@ class ShardPipeline:
 
     def _run_density(self, k: int):
         tree = self.trees[k]
-        return self.owner._shard_self_counts(
-            tree, tree.source_points, counter=self.density_counter
-        )
+        return self.owner._shard_self_counts(tree, counter=self.density_counter)
 
     def _commit_density(self, k: int, counts) -> None:
         # += (not assignment): halo credits for this shard may have landed

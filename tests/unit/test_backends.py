@@ -6,10 +6,20 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.approx_dpc import ApproxDPC
+from repro.core.ex_dpc import ExDPC
+from repro.core.s_approx_dpc import SApproxDPC
+from repro.index.grid import UniformGrid
 from repro.index.kdtree import KDTree
 from repro.parallel.backends import (
     BACKENDS,
     ChunkTask,
+    TaskBuilder,
+    kernel_dual_nn,
+    kernel_dual_self_count,
+    kernel_joint_density,
+    kernel_partitioned_dependency,
+    kernel_picked_density,
     kernel_range_count,
     pack_tree_arrays,
     resolve_backend,
@@ -142,43 +152,194 @@ class TestWorkerContext:
             bundle.unlink()
 
 
-class TestExecutorProcessPath:
-    def test_process_chunk_task_matches_closure(self):
+def _kernel_phases(points, tree, counter):
+    """Every chunk kernel as ``(name, kernel, n_items, payload_fn, state, assemble)``.
+
+    ``state`` holds the structures a driver has already built for the phase
+    (seeded into in-process contexts; workers rebuild them from the payload).
+    """
+    from repro.core.dependency_join import (
+        PartitionedDependencySearcher,
+        build_join_trees,
+    )
+    from repro.index.grid import UniformGrid
+
+    d_cut = 2.5
+    n = points.shape[0]
+    rho = np.random.default_rng(7).permutation(n).astype(np.float64)
+    cells = UniformGrid(points, d_cut / np.sqrt(2.0)).cells()
+    centers = np.stack([cell.center for cell in cells])
+    radii = np.asarray([d_cut + cell.max_center_dist for cell in cells])
+    picked = np.arange(0, n, 3, dtype=np.intp)
+    pairs, base = tree.dual_self_frontier(d_cut, strict=True, target_pairs=16)
+
+    undecided = np.arange(0, n, 2, dtype=np.intp)
+    data_tree, rho_data, queries_tree, rho_q, _ = build_join_trees(
+        points, rho, undecided, None, 8, data_tree=tree, counter=counter
+    )
+    q_nodes = queries_tree.node_frontier(8)
+    densest = int(np.argmax(rho))
+    seed_idx = np.full(undecided.size, densest, dtype=np.intp)
+    seed_idx[undecided == densest] = -1
+    seed_sq = np.sum((points[undecided] - points[densest]) ** 2, axis=1)
+    seed_sq[undecided == densest] = np.inf
+    searcher = PartitionedDependencySearcher(
+        points, rho, n_partitions=3, leaf_size=8, counter=counter
+    )
+
+    def join_result(chunks):
+        dependent = np.full(undecided.size, -1, dtype=np.intp)
+        for cov, idx, _ in chunks:
+            dependent[cov] = idx
+        return dependent
+
+    return [
+        (
+            "range_count",
+            kernel_range_count,
+            n,
+            lambda chunk: {"d_cut": d_cut},
+            None,
+            np.concatenate,
+        ),
+        (
+            "dual_self_count",
+            kernel_dual_self_count,
+            len(pairs),
+            lambda chunk: {"d_cut": d_cut, "pairs": pairs[chunk]},
+            None,
+            lambda chunks: base + sum(chunks),
+        ),
+        (
+            "joint_density",
+            kernel_joint_density,
+            len(cells),
+            lambda chunk: {
+                "d_cut": d_cut,
+                "centers": centers[chunk],
+                "radii": radii[chunk],
+                "members": [cells[int(p)].point_indices for p in chunk],
+                "cell_keys": [cells[int(p)].key for p in chunk],
+            },
+            None,
+            lambda chunks: [
+                (s.counts.tolist(), s.best_point, s.neighbor_keys)
+                for chunk in chunks
+                for s in chunk
+            ],
+        ),
+        (
+            "picked_density",
+            kernel_picked_density,
+            picked.size,
+            lambda chunk: {"d_cut": d_cut, "picked": picked[chunk]},
+            None,
+            lambda chunks: [item for chunk in chunks for item in chunk],
+        ),
+        (
+            "dual_nn",
+            kernel_dual_nn,
+            len(q_nodes),
+            lambda chunk: {
+                "token": "nn",
+                "rho": rho,
+                "undecided": undecided,
+                "candidates": None,
+                "leaf_size": 8,
+                "q_nodes": q_nodes[chunk],
+                "seed_idx": seed_idx,
+                "seed_sq": seed_sq,
+            },
+            {"nn": (data_tree, rho_data, queries_tree, rho_q)},
+            join_result,
+        ),
+        (
+            "partitioned_dependency",
+            kernel_partitioned_dependency,
+            undecided.size,
+            lambda chunk: {
+                "token": "part",
+                "undecided": undecided,
+                **searcher.shared_query_params(),
+            },
+            {"part": searcher},
+            lambda chunks: np.concatenate([c[0] for c in chunks]),
+        ),
+    ]
+
+
+class TestChunkTasks:
+    def _run_phases(self, backend):
+        """Run every kernel phase on one backend: name -> (value, calcs)."""
         points = np.random.default_rng(1).uniform(-10, 10, size=(300, 2))
-        tree = KDTree(points, leaf_size=16)
-        bundle = SharedArrayBundle.create(pack_tree_arrays(tree))
         counter = WorkCounter()
-        task = ChunkTask(
-            kernel=kernel_range_count,
-            spec=bundle.spec,
-            payload={"d_cut": 2.5},
-            counter=counter,
+        tree = KDTree(points, leaf_size=16, counter=counter)
+        lattice = UniformGrid(points, 2.5 / np.sqrt(2.0)).lattice
+        phases = _kernel_phases(points, tree, counter)
+        builder = TaskBuilder(
+            backend, points, tree, arrays={"lattice": lattice}, counter=counter
         )
-        executor = ParallelExecutor(2, backend="process")
+        out = {}
         try:
-            results = executor.map_index_chunks(
-                lambda chunk: tree.range_count_batch(points[chunk], 2.5, strict=True),
-                points.shape[0],
-                task=task,
-            )
-            expected = tree.range_count_batch(points, 2.5, strict=True)
-            np.testing.assert_array_equal(np.concatenate(results), expected)
-            # The workers' distance counts were folded back into the parent
-            # counter, matching the serial total exactly.
-            assert counter.get("distance_calcs") == tree.counter.get("distance_calcs")
+            # The pool shuts down before the builder unlinks its segment.
+            with ParallelExecutor(2, backend=backend) as executor:
+                for name, kernel, n_items, payload_fn, state, assemble in phases:
+                    task = builder(kernel, payload_fn=payload_fn, state=state)
+                    before = counter.get("distance_calcs")
+                    chunks = executor.map_index_chunks(task, n_items)
+                    assert len(chunks) > 1, name
+                    out[name] = (
+                        assemble(chunks),
+                        counter.get("distance_calcs") - before,
+                    )
         finally:
-            executor.close()
-            bundle.close()
-            bundle.unlink()
+            builder.close()
+        return out
 
-    def test_process_backend_without_task_uses_threads(self):
-        executor = ParallelExecutor(2, backend="process")
-        try:
-            results = executor.map_index_chunks(lambda chunk: chunk.sum(), 10)
-            assert sum(results) == sum(range(10))
-        finally:
-            executor.close()
+    def test_every_kernel_matches_across_backends(self):
+        reference = self._run_phases("serial")
+        assert set(reference) == {
+            "range_count",
+            "dual_self_count",
+            "joint_density",
+            "picked_density",
+            "dual_nn",
+            "partitioned_dependency",
+        }
+        for name, (_, calcs) in reference.items():
+            assert calcs > 0, name
+        # The seeded dual join and the partitioned searcher answer the same
+        # nearest-denser queries.
+        np.testing.assert_array_equal(
+            reference["dual_nn"][0], reference["partitioned_dependency"][0]
+        )
+        for backend in ("thread", "process"):
+            got = self._run_phases(backend)
+            for name, (value, calcs) in reference.items():
+                if isinstance(value, np.ndarray):
+                    np.testing.assert_array_equal(got[name][0], value, err_msg=name)
+                else:
+                    assert got[name][0] == value, (backend, name)
+                assert got[name][1] == calcs, (backend, name)
 
+    def test_in_process_tasks_never_start_a_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("in-process chunk tasks must not leave this process")
+
+        monkeypatch.setattr(ParallelExecutor, "_ensure_pool", refuse)
+        monkeypatch.setattr(SharedArrayBundle, "create", refuse)
+        for backend in ("serial", "thread"):
+            results = self._run_phases(backend)
+            assert len(results) == 6
+            points = np.random.default_rng(2).uniform(-10, 10, size=(400, 2))
+            for engine in ("batch", "dual"):
+                for estimator in (ExDPC, ApproxDPC, SApproxDPC):
+                    estimator(
+                        3.0, n_clusters=2, n_jobs=2, backend=backend, engine=engine
+                    ).fit(points)
+
+
+class TestExecutorProcessPath:
     def test_serial_backend_never_spawns(self):
         executor = ParallelExecutor(4, backend="serial")
         order = []

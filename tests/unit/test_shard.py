@@ -146,6 +146,52 @@ class TestShardStats:
         assert fitted.supports_recluster is False
 
 
+class TestPredictDensityBounds:
+    """Sharded predict reuses each shard tree's per-node density maxima."""
+
+    @staticmethod
+    def _count_sweeps(monkeypatch) -> list:
+        from repro.index.kdtree import KDTree
+
+        sweeps = []
+        original = KDTree._node_reduce_positions
+
+        def counted(self, values_pos, minimum):
+            if not minimum:  # data-side density maxima, not query minima
+                sweeps.append(self.size)
+            return original(self, values_pos, minimum)
+
+        monkeypatch.setattr(KDTree, "_node_reduce_positions", counted)
+        return sweeps
+
+    def test_no_sweeps_after_first_predict(self, points, tmp_path, monkeypatch):
+        model = ShardedDPC(8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0)
+        model.fit(points)
+        unswept = load_sharded(save_sharded(model, tmp_path / "before"), mmap=True)
+        queries = points[::30][:8] + 0.25
+        sweeps = self._count_sweeps(monkeypatch)
+        expected = model.predict(queries)
+        assert sweeps, "the first predict attaches the shard bounds"
+        sweeps.clear()
+        for _ in range(3):
+            np.testing.assert_array_equal(model.predict(queries), expected)
+        assert sweeps == []
+
+        # Restored before any predict: the first predict sweeps, later
+        # ones reuse the bounds.
+        np.testing.assert_array_equal(unswept.predict(queries), expected)
+        sweeps.clear()
+        np.testing.assert_array_equal(unswept.predict(queries), expected)
+        assert sweeps == []
+
+        # Saved after a predict: the archives carry the bounds, so the
+        # restored model never sweeps.
+        restored = load_sharded(save_sharded(model, tmp_path / "after"), mmap=True)
+        for _ in range(2):
+            np.testing.assert_array_equal(restored.predict(queries), expected)
+        assert sweeps == []
+
+
 class TestManifestRoundTrip:
     @pytest.mark.parametrize(
         "mmap,engine",
