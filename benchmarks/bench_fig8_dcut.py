@@ -12,9 +12,11 @@ Run the full figure with ``python benchmarks/bench_fig8_dcut.py``.
 ``--recluster`` runs the same d_cut tour through the re-cluster-at-any-
 parameter index instead (fit once, ``ReclusterIndex`` serves every stop;
 see ``docs/recluster.md``): every stop is verified bit-identical against a
-cold refit, and a ``phase="recluster"`` record with ``refit_seconds`` /
-``speedup_vs_refit`` is appended to the repo-root perf-trajectory file
-``BENCH_density.json``::
+cold refit, and a ``phase="recluster"`` record with ``build_seconds``,
+``refit_seconds`` / ``speedup_vs_refit`` and its provenance (git sha, CPU
+count and affinity, numpy version) is merged into the repo-root
+perf-trajectory file ``BENCH_density.json`` under the key
+``"<engine>@<git sha>"``, so runs of different commits sit side by side::
 
     python benchmarks/bench_fig8_dcut.py --recluster --n 50000
 """
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import time
 from pathlib import Path
 
@@ -34,6 +38,7 @@ from repro.bench import (
     print_series,
     run_performance_suite,
 )
+import repro
 from repro.bench.workloads import BenchWorkload
 from repro.core import ExDPC
 from repro.data import generate_syn
@@ -99,6 +104,28 @@ RECLUSTER_N = 50_000
 RECLUSTER_D_CUT = 600.0
 RECLUSTER_N_CLUSTERS = 10
 RECLUSTER_RHO_MIN = 5
+
+
+def _provenance() -> dict:
+    """Where a record was measured: the code's git sha, the CPUs, numpy."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=Path(repro.__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {
+        "git_sha": sha,
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+        ),
+        "numpy_version": np.__version__,
+    }
 
 
 def recluster_sweep(
@@ -169,17 +196,27 @@ def recluster_sweep(
         "speedup_vs_refit": refit_s / recluster_s,
         "profile_entries": index.n_profile_entries,
         "index_bytes": index.memory_bytes(),
+        **_provenance(),
     }
 
 
 def append_recluster_trajectory(rows: list[dict], path: Path) -> None:
     """Merge ``phase="recluster"`` records into the perf-trajectory file.
 
-    The file is keyed ``phase -> engine -> record``; other phases' records
-    (written by ``bench_batch_vs_scalar.py`` / ``bench_kernels.py``) are
-    left untouched.
+    The file is keyed ``phase -> key -> record`` with key
+    ``"<engine>@<git sha>"`` (just the engine outside a git checkout);
+    other phases' records (written by ``bench_batch_vs_scalar.py`` /
+    ``bench_kernels.py``) and other commits' rows are left untouched.
     """
-    merge_trajectory(path, {"recluster": {row["engine"]: row for row in rows}})
+    merge_trajectory(
+        path,
+        {
+            "recluster": {
+                "@".join(filter(None, (row["engine"], row["git_sha"]))): row
+                for row in rows
+            }
+        },
+    )
 
 
 def run_recluster(args: argparse.Namespace) -> None:

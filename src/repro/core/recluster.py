@@ -16,6 +16,14 @@ semantics of a cold fit:
   predicate and arithmetic as the fit-time density engines).  The local
   density at any ``d_cut <= d_cut_max`` is then one vectorised binary search
   per point over the profile matrix -- no tree traversal.
+* **Count-first build.**  A strict self-count at ``d_cut_max`` (the fit's
+  density kernels) gives every row's length up front, so the CSR offsets
+  are known and the final arrays are allocated once.  One chunk kernel
+  (:func:`repro.parallel.backends.kernel_range_profile`, on every backend)
+  then writes the rows straight into them, in blocks of consecutive
+  kd-tree positions, each row sorted on its own
+  (:func:`write_profile_rows`): no sort ever spans the whole profile, and
+  the build's transient memory stays a small fraction of the index.
 * **Jitter replay.**  The fit's density tie-break jitter is kept (and
   snapshotted), so the tie-broken densities at a new ``d_cut`` are
   ``new_counts + same_jitter`` -- bit-identical to what a cold fit at that
@@ -54,8 +62,9 @@ through the join.  On float64 trees storage and join arithmetic coincide and
 the margin is zero.
 
 Memory: the profiles cost ``O(sum_i rho_i(d_cut_max))`` entries (one squared
-distance in the tree's storage dtype plus one index each); see
-``docs/recluster.md`` for the cost model versus ``d_cut_max``.
+distance in the tree's storage dtype plus one index each); the build peaks
+at about 1.2--1.4x the finished index.  See ``docs/recluster.md`` for the
+cost model versus ``d_cut_max``.
 """
 
 from __future__ import annotations
@@ -67,9 +76,15 @@ import numpy as np
 
 from repro.core.assignment import assign_clusters
 from repro.core.dependency_join import nearest_denser_join
+from repro.core.ex_dpc import strict_self_counts
 from repro.core.result import DPCResult, canonical_rho_raw
-from repro.index.kdtree import _block_pair_distances_sq
+from repro.index.kdtree import (
+    _block_pair_distances_sq,
+    _concat_ranges,
+    _row_lex_order,
+)
 from repro.kernels import squared_norms
+from repro.parallel.backends import TaskBuilder, kernel_range_profile
 from repro.parallel.executor import ParallelExecutor
 from repro.utils.counters import WorkCounter
 from repro.utils.rng import draw_tiebreak_jitter, ensure_rng
@@ -79,6 +94,7 @@ __all__ = [
     "DEFAULT_D_CUT_MAX_FACTOR",
     "ReclusterIndex",
     "resolve_tiebreak_jitter",
+    "write_profile_rows",
 ]
 
 #: Default profile cap: ``d_cut_max = factor * fitted d_cut``.  Doubling the
@@ -100,6 +116,11 @@ DEFAULT_MIN_PROFILE_SIZE = 64
 #: rows at ``O(n * width)`` cost regardless of how dense the full profiles
 #: are; the few unresolved rows fall through to an exact scan of their tails.
 _SWEEP_PREFIX_WIDTH = 16
+
+#: Rows per block of the profile build.  A block is a run of consecutive
+#: kd-tree positions, so its queries share most of their tree path, and its
+#: hit lists -- the build's only per-entry transients -- stay small.
+_PROFILE_BLOCK = 256
 
 #: Unit roundoff of float32 (the only non-float64 storage dtype).
 _F32_EPS = float(np.finfo(np.float32).eps)
@@ -196,6 +217,87 @@ def _pair_distances_sq64(
     """
     diff = points[rows] - points[cols]
     return squared_norms(diff)
+
+
+def _join_order(points, owners, lengths, ids) -> np.ndarray:
+    """Row-major ``ids`` re-sorted per row by the join's float64 ``(d², index)``.
+
+    ``owners[r]`` owns the ``lengths[r]`` consecutive entries of row ``r``.
+    """
+    row = np.repeat(np.arange(owners.shape[0]), lengths)
+    d_sq64 = _pair_distances_sq64(points, owners[row], ids)
+    return ids[_row_lex_order(row, d_sq64, ids)]
+
+
+def write_profile_rows(
+    tree, points, rows, arrays, *, d_cut_max, k, base_cov, coord_mag
+) -> None:
+    """Emit the profile rows ``rows`` straight into the index's CSR arrays.
+
+    ``arrays`` holds the row ``profile.counts`` (strict counts at
+    ``d_cut_max``) and ``profile.indptr``, and the outputs written in place:
+    ``profile.values`` and ``profile.join_ids`` at each row's offsets and
+    ``profile.coverage_sq`` per row.  Rows go in blocks of
+    :data:`_PROFILE_BLOCK`, each sorted on its own -- never across blocks:
+
+    * a row with at least ``k`` in-cap neighbors is its cap profile
+      (:meth:`~repro.index.kdtree.KDTree.range_profile_batch`), with
+      coverage ``base_cov``;
+    * a shorter row holds the owner's ``k`` nearest neighbors instead.  The
+      k-NN set is a superset of the cap ball (every in-cap point beats every
+      out-of-cap point in the storage distance order the search uses), so
+      density bisection sees every in-cap entry with identical bits, while
+      the row's proven coverage grows to its k-th neighbor radius.  The
+      squared distances are recomputed in storage arithmetic, bit-compatible
+      with the cap rows.
+
+    On float64 trees the storage order is the join order; float32 rows are
+    re-sorted by the join's float64 ``(squared distance, index)`` too.
+    """
+    counts = arrays["profile.counts"]
+    indptr = arrays["profile.indptr"]
+    values = arrays["profile.values"]
+    join_ids = arrays["profile.join_ids"]
+    coverage_sq = arrays["profile.coverage_sq"]
+    storage = tree.points
+    storage64 = storage.dtype == np.float64
+    for lo in range(0, rows.shape[0], _PROFILE_BLOCK):
+        block = rows[lo : lo + _PROFILE_BLOCK]
+        is_short = counts[block] < k
+        full = block[~is_short]
+        if full.size:
+            vals, ids, row_ptr = tree.range_profile_batch(
+                points[full], d_cut_max, strict=True
+            )
+            lengths = counts[full]
+            if not np.array_equal(np.diff(row_ptr), lengths):
+                raise RuntimeError(
+                    "profile rows disagree with the strict counts at d_cut_max"
+                )
+            dest = _concat_ranges(indptr[full], lengths)
+            values[dest] = vals
+            join_ids[dest] = (
+                ids if storage64 else _join_order(points, full, lengths, ids)
+            )
+            coverage_sq[full] = base_cov
+        short = block[is_short]
+        if short.size:
+            knn_ids = tree.knn_batch(points[short], k)[0]
+            vals = squared_norms(storage[short][:, None, :] - storage[knn_ids])
+            order = np.lexsort((knn_ids, vals), axis=-1)
+            vals = np.take_along_axis(vals, order, axis=-1)
+            ids = np.take_along_axis(knn_ids, order, axis=-1).ravel()
+            dest = (indptr[short][:, None] + np.arange(k)).ravel()
+            values[dest] = vals.ravel()
+            kth_sq64 = vals[:, -1].astype(np.float64)
+            if storage64:
+                join_ids[dest] = ids
+            else:
+                join_ids[dest] = _join_order(points, short, k, ids)
+                kth_sq64 = _float32_coverage_sq(points.shape[1], coord_mag, kth_sq64)
+            # The cap-based bound stays valid for the superset rows, so
+            # coverage can only grow.
+            coverage_sq[short] = np.maximum(base_cov, kth_sq64)
 
 
 class ReclusterIndex:
@@ -342,107 +444,60 @@ class ReclusterIndex:
 
         points = np.asarray(model._fit_points_, dtype=np.float64)
         n = points.shape[0]
+        coord_mag = float(np.abs(points).max()) if points.size else 0.0
+        base_cov = float(np.float64(d_cut_max) * np.float64(d_cut_max))
+        if tree.points.dtype != np.float64:
+            base_cov = float(_float32_coverage_sq(points.shape[1], coord_mag, base_cov))
+        k = min(int(min_profile_size), n)
         executor = ParallelExecutor(model.n_jobs, backend=model.backend)
+        count_builder = TaskBuilder(executor.backend, points, tree, counter=tree.counter)
+        profile_builder = None
         try:
-            chunks = executor.map_index_chunks(
-                lambda chunk: tree.range_profile_batch(
-                    points[chunk], d_cut_max, strict=True
-                ),
-                n,
-            )
-            values = np.concatenate([c[0] for c in chunks])
-            ids = np.concatenate([c[1] for c in chunks])
-            lengths = np.concatenate([np.diff(c[2]) for c in chunks])
+            # Row lengths first: the strict count at d_cut_max is exactly the
+            # length of a row's cap profile (the range_profile_batch
+            # invariant); rows with fewer than k in-cap neighbors hold their
+            # k nearest neighbors instead.  So indptr is known before any
+            # entry is emitted, and the final arrays are allocated once.
+            counts = strict_self_counts(
+                tree,
+                d_cut_max,
+                engine="dual" if model.engine_ == "dual" else "batch",
+                dual_frontier=model.dual_frontier_,
+                executor=executor,
+                task_builder=count_builder,
+            ).astype(np.int64)
             indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-
-            storage64 = values.dtype == np.float64
-            dim = points.shape[1]
-            coord_mag = float(np.abs(points).max()) if points.size else 0.0
-            bound64 = float(np.float64(d_cut_max) * np.float64(d_cut_max))
-            base_cov = (
-                bound64
-                if storage64
-                else float(_float32_coverage_sq(dim, coord_mag, bound64))
+            np.cumsum(np.where(counts < k, k, counts), out=indptr[1:])
+            values = np.empty(indptr[-1], dtype=tree.points.dtype)
+            join_ids = np.empty(indptr[-1], dtype=np.intp)
+            coverage_sq = np.empty(n, dtype=np.float64)
+            profile_builder = TaskBuilder(
+                executor.backend,
+                points,
+                tree,
+                arrays={"profile.counts": counts, "profile.indptr": indptr},
+                outputs={
+                    "profile.values": values,
+                    "profile.join_ids": join_ids,
+                    "profile.coverage_sq": coverage_sq,
+                },
+                counter=tree.counter,
             )
-            coverage_sq = np.full(n, base_cov, dtype=np.float64)
-
-            # ---- sparse-row augmentation: rows with fewer than k in-cap
-            # neighbors are replaced by the owner's k nearest neighbors.  The
-            # k-NN set is a superset of the cap ball (fewer than k points lie
-            # strictly inside the cap, and every in-cap point beats every
-            # out-of-cap point in the storage distance order the search
-            # uses), so density bisection still sees every in-cap entry with
-            # identical bits, while the row's proven coverage grows to its
-            # k-th neighbor radius.
-            k = min(int(min_profile_size), n)
-            short = (
-                np.flatnonzero(lengths < k) if k > 0 else np.empty(0, dtype=np.intp)
-            )
-            if short.size:
-                knn_chunks = executor.map_index_chunks(
-                    lambda chunk: tree.knn_batch(points[short[chunk]], k)[0],
-                    short.size,
-                )
-                knn_ids = np.concatenate(knn_chunks, axis=0)
-                # Recompute squared distances with the storage-dtype kernel
-                # arithmetic so the merged values are bit-compatible with the
-                # range-extracted rows.
-                storage_pts = points.astype(values.dtype, copy=False)
-                diff = storage_pts[short][:, None, :] - storage_pts[knn_ids]
-                vals_aug = squared_norms(diff)
-                order = np.lexsort((knn_ids, vals_aug), axis=-1)
-                vals_aug = np.take_along_axis(vals_aug, order, axis=-1)
-                ids_aug = np.take_along_axis(knn_ids, order, axis=-1)
-                kth_sq64 = vals_aug[:, -1].astype(np.float64)
-                knn_cov = (
-                    kth_sq64
-                    if storage64
-                    else _float32_coverage_sq(dim, coord_mag, kth_sq64)
-                )
-                # The cap-based bound stays valid for the superset rows, so
-                # coverage can only grow.
-                coverage_sq[short] = np.maximum(base_cov, knn_cov)
-
-                old_row_of = np.repeat(np.arange(n, dtype=np.intp), lengths)
-                is_short = np.zeros(n, dtype=bool)
-                is_short[short] = True
-                keep = ~is_short[old_row_of]
-                within_old = np.arange(indptr[-1], dtype=np.int64) - np.repeat(
-                    indptr[:-1], lengths
-                )
-                new_lengths = lengths.astype(np.int64, copy=True)
-                new_lengths[short] = k
-                new_indptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(new_lengths, out=new_indptr[1:])
-                new_values = np.empty(new_indptr[-1], dtype=values.dtype)
-                new_ids = np.empty(new_indptr[-1], dtype=np.intp)
-                dest_keep = new_indptr[old_row_of[keep]] + within_old[keep]
-                new_values[dest_keep] = values[keep]
-                new_ids[dest_keep] = ids[keep]
-                dest_short = (
-                    new_indptr[short][:, None] + np.arange(k, dtype=np.int64)[None, :]
-                ).ravel()
-                new_values[dest_short] = vals_aug.ravel()
-                new_ids[dest_short] = ids_aug.ravel()
-                values, ids, lengths, indptr = (
-                    new_values,
-                    new_ids,
-                    new_lengths,
-                    new_indptr,
-                )
+            payload = {
+                "d_cut_max": d_cut_max,
+                "k": k,
+                "base_cov": base_cov,
+                "coord_mag": coord_mag,
+            }
+            task = profile_builder(kernel_range_profile, payload)
+            executor.map_index_chunks(task, n)
+            profile_builder.collect_outputs()
         finally:
+            # The pool goes down before the segments are unlinked.
             executor.close()
-
-        if storage64:
-            # Storage order and the join's float64 lexicographic order are the
-            # same ordering on float64 trees (identical arithmetic).
-            join_ids = ids
-        else:
-            row_of = np.repeat(np.arange(n, dtype=np.intp), lengths)
-            d_sq64 = _pair_distances_sq64(points, row_of, ids)
-            order = np.lexsort((ids, d_sq64, row_of))
-            join_ids = ids[order]
+            count_builder.close()
+            if profile_builder is not None:
+                profile_builder.close()
 
         return cls(
             model,

@@ -329,6 +329,30 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return _ragged_copy_indices(dest_base, starts, lengths)[1]
 
 
+def _row_lex_order(rows: np.ndarray, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Permutation sorting entries by ``(rows, values, ids)`` lexicographically.
+
+    Same result as ``np.lexsort((ids, values, rows))`` at a fraction of its
+    cost: one unstable (SIMD) argsort of the values, one stable sort by row
+    (a radix sort while row ids fit 16 bits), and an exact lexsort of only
+    the entries in ``(row, value)`` tie runs (their positions already hold
+    the right keys in order, so re-sorting them among themselves orders each
+    run by id).
+    """
+    order = np.argsort(values)
+    if rows.size == 0:
+        return order
+    row_key = rows.astype(np.min_scalar_type(int(rows.max())))
+    order = order[np.argsort(row_key[order], kind="stable")]
+    v, r = values[order], rows[order]
+    tie = (v[1:] == v[:-1]) & (r[1:] == r[:-1])
+    if tie.any():
+        run = np.flatnonzero(np.append(tie, False) | np.insert(tie, 0, False))
+        sub = order[run]
+        order[run] = sub[np.lexsort((ids[sub], values[sub], rows[sub]))]
+    return order
+
+
 def _iter_padded_chunks(budget: int, dim: int, q_n: np.ndarray, g_width: np.ndarray):
     """Yield ``(pos, end, q_pad, w_pad)`` mega-batch chunks over groups.
 
@@ -1265,7 +1289,7 @@ class KDTree:
         all_queries = np.concatenate(hit_queries)
         all_points = np.concatenate(hit_points)
         all_values = np.concatenate(hit_values)
-        order = np.lexsort((all_points, all_values, all_queries))
+        order = _row_lex_order(all_queries, all_values, all_points)
         indptr[1:] = np.cumsum(np.bincount(all_queries, minlength=n_queries))
         return all_values[order], all_points[order], indptr
 

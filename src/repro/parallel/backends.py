@@ -21,7 +21,9 @@ The parallel phases of every DPC algorithm run on one of three backends:
 A phase with a ``kernel_*`` function below runs only that kernel, on every
 backend: its :class:`ChunkTask` carries the shared segment (process) or an
 in-process :class:`KernelContext` over the caller's own tree, points and
-arrays (serial, thread).  Kernels count distance calcs into
+arrays (serial, thread).  A kernel returns its chunk's result, or, where a
+phase fills one large array, writes into output arrays of the context
+(:class:`TaskBuilder` ``outputs``).  Kernels count distance calcs into
 ``ctx.counter``; :func:`execute_chunk` returns a worker's per-chunk delta
 for the parent to fold in, so work totals are backend-invariant
 (property-tested in ``tests/property/test_backend_equivalence.py``).
@@ -57,6 +59,7 @@ __all__ = [
     "kernel_joint_density",
     "kernel_picked_density",
     "kernel_partitioned_dependency",
+    "kernel_range_profile",
 ]
 
 BACKENDS = ("serial", "thread", "process")
@@ -180,6 +183,12 @@ class TaskBuilder:
     reused by later tasks; :meth:`close` unlinks it once the pool is down.
     Otherwise tasks get a :class:`KernelContext` over the same objects,
     whose phase state the ``state`` argument seeds.
+
+    ``outputs`` are caller-allocated arrays the kernels fill in place
+    (``ctx.arrays[name]``, disjoint positions per chunk).  In-process
+    kernels write the caller's arrays themselves; on the process backend
+    they write zero-filled slots of the segment, which
+    :meth:`collect_outputs` copies back into the caller's arrays.
     """
 
     def __init__(
@@ -189,12 +198,14 @@ class TaskBuilder:
         tree=None,
         *,
         arrays: dict[str, np.ndarray] | None = None,
+        outputs: dict[str, np.ndarray] | None = None,
         counter: WorkCounter | None = None,
     ):
         self._process = resolve_backend(backend) == "process"
         self._points = points
         self._tree = tree
         self._arrays = {} if arrays is None else arrays
+        self._outputs = {} if outputs is None else outputs
         self._counter = counter if counter is not None else WorkCounter()
         self._bundle: SharedArrayBundle | None = None
 
@@ -213,7 +224,11 @@ class TaskBuilder:
         )
         if not self._process:
             task.context = KernelContext(
-                self._points, self._tree, self._arrays, self._counter, state
+                self._points,
+                self._tree,
+                {**self._arrays, **self._outputs},
+                self._counter,
+                state,
             )
             return task
         if self._bundle is None:
@@ -223,9 +238,21 @@ class TaskBuilder:
                 else {"points": self._points}
             )
             mapping.update(self._arrays)
-            self._bundle = SharedArrayBundle.create(mapping)
+            if self._outputs:
+                self._bundle = SharedArrayBundle.create(mapping, self._outputs)
+            else:
+                self._bundle = SharedArrayBundle.create(mapping)
         task.spec = self._bundle.spec
         return task
+
+    def collect_outputs(self) -> None:
+        """Copy what the kernels wrote into the caller's output arrays.
+
+        A no-op in-process, where the kernels wrote those arrays directly.
+        """
+        if self._bundle is not None:
+            for name, out in self._outputs.items():
+                out[...] = self._bundle.arrays[name]
 
     @property
     def nbytes(self) -> int:
@@ -422,3 +449,16 @@ def kernel_partitioned_dependency(ctx, payload, chunk):
 
     searcher = ctx.phase_state(payload["token"], build)
     return searcher.query_batch(payload["undecided"][chunk])
+
+
+def kernel_range_profile(ctx, payload, chunk):
+    """Recluster index build: the profile rows of a chunk of tree positions.
+
+    Rows go in tree order (spatially coherent query blocks) and are written
+    straight into the context's final CSR output arrays at the offsets of
+    ``profile.indptr``; see :func:`repro.core.recluster.write_profile_rows`.
+    """
+    from repro.core.recluster import write_profile_rows
+
+    rows = ctx.tree.arrays.indices[chunk]
+    write_profile_rows(ctx.tree, ctx.points, rows, ctx.arrays, **payload)

@@ -14,6 +14,10 @@ numpy arrays into **one** shared-memory segment:
 * the owner calls :meth:`SharedArrayBundle.close` and
   :meth:`SharedArrayBundle.unlink` when the fit finishes.
 
+Views are read-only except for *output* arrays: space the owner reserves
+(zero-filled, nothing copied in) for workers to fill at disjoint positions
+and the owner to copy out before the segment goes away.
+
 Lifecycle contract (see ``docs/parallel.md``): exactly one ``create`` /
 ``unlink`` pair per fit on the owner side, at most one ``attach`` per worker
 (workers cache bundles by segment name), and ``close`` in every process that
@@ -81,6 +85,7 @@ class ArraySpec:
     offset: int
     shape: tuple[int, ...]
     dtype: str
+    writable: bool = False
 
 
 @dataclass(frozen=True)
@@ -122,22 +127,33 @@ class SharedArrayBundle:
                 buffer=shm.buf,
                 offset=entry.offset,
             )
-            view.flags.writeable = False
+            view.flags.writeable = entry.writable
             self._arrays[entry.key] = view
 
     # ----------------------------------------------------------- construction
 
     @classmethod
-    def create(cls, arrays: Mapping[str, np.ndarray]) -> "SharedArrayBundle":
-        """Copy ``arrays`` into a fresh segment (once) and return the owner handle."""
-        if not arrays:
+    def create(
+        cls,
+        arrays: Mapping[str, np.ndarray],
+        outputs: Mapping[str, np.ndarray] | None = None,
+    ) -> "SharedArrayBundle":
+        """Copy ``arrays`` into a fresh segment (once) and return the owner handle.
+
+        ``outputs`` only lend their shape and dtype: each gets a zero-filled,
+        writable slot in the segment and nothing is copied in.
+        """
+        outputs = outputs or {}
+        if not arrays and not outputs:
             raise ValueError("cannot create an empty bundle")
         entries: list[ArraySpec] = []
         offset = 0
         materialised: dict[str, np.ndarray] = {}
-        for key, array in arrays.items():
-            array = np.ascontiguousarray(array)
-            materialised[key] = array
+        for key, array in [*arrays.items(), *outputs.items()]:
+            writable = key in outputs
+            if not writable:
+                array = np.ascontiguousarray(array)
+                materialised[key] = array
             offset = _aligned(offset)
             entries.append(
                 ArraySpec(
@@ -145,6 +161,7 @@ class SharedArrayBundle:
                     offset=offset,
                     shape=tuple(array.shape),
                     dtype=array.dtype.str,
+                    writable=writable,
                 )
             )
             offset += array.nbytes
@@ -155,8 +172,8 @@ class SharedArrayBundle:
             segment_name=shm.name, total_bytes=total, entries=tuple(entries)
         )
         for entry in entries:
-            source = materialised[entry.key]
-            if source.nbytes == 0:
+            source = materialised.get(entry.key)
+            if source is None or source.nbytes == 0:
                 continue
             dest = np.ndarray(
                 entry.shape,
@@ -199,7 +216,7 @@ class SharedArrayBundle:
 
     @property
     def arrays(self) -> dict[str, np.ndarray]:
-        """Read-only zero-copy views, one per packed array."""
+        """Zero-copy views, one per packed array (read-only but the outputs)."""
         return self._arrays
 
     @property

@@ -116,6 +116,37 @@ class TestSharedArrayBundle:
         with pytest.raises(ValueError):
             SharedArrayBundle.create({})
 
+    def test_outputs_are_zeroed_writable_and_shared(self):
+        template = np.full(5, 7, dtype=np.intp)
+        bundle = SharedArrayBundle.create({"x": np.ones(3)}, {"out": template})
+        try:
+            attached = SharedArrayBundle.attach(bundle.spec)
+            try:
+                assert not attached.arrays["x"].flags.writeable
+                # Only shape and dtype are taken from the template.
+                assert attached.arrays["out"].dtype == template.dtype
+                np.testing.assert_array_equal(attached.arrays["out"], np.zeros(5))
+                attached.arrays["out"][1:3] = [4, 5]
+            finally:
+                attached.close()
+            np.testing.assert_array_equal(bundle.arrays["out"], [0, 4, 5, 0, 0])
+        finally:
+            bundle.close()
+            bundle.unlink()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_task_builder_collects_kernel_outputs(self, backend):
+        points = np.random.default_rng(3).uniform(size=(40, 2))
+        out = np.empty(40, dtype=np.float64)
+        builder = TaskBuilder(backend, points, outputs={"out": out})
+        try:
+            with ParallelExecutor(2, backend=backend) as executor:
+                executor.map_index_chunks(builder(_kernel_write_sums), 40)
+            builder.collect_outputs()
+        finally:
+            builder.close()
+        np.testing.assert_array_equal(out, points.sum(axis=1))
+
 
 class TestWorkerContext:
     def test_tree_rebuilt_from_shared_arrays(self):
@@ -150,6 +181,11 @@ class TestWorkerContext:
         finally:
             bundle.close()
             bundle.unlink()
+
+
+def _kernel_write_sums(ctx, payload, chunk):
+    """Test kernel filling an output array in place."""
+    ctx.arrays["out"][chunk] = ctx.points[chunk].sum(axis=1)
 
 
 def _kernel_phases(points, tree, counter):
