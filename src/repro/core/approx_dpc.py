@@ -154,7 +154,6 @@ class ApproxDPC(DensityPeaksBase):
         n_partitions: int | None = None,
         engine: str | None = None,
         dtype: str = "float64",
-        dual_frontier=None,
         kernel: str | None = None,
     ):
         super().__init__(
@@ -167,7 +166,6 @@ class ApproxDPC(DensityPeaksBase):
             seed=seed,
             record_costs=record_costs,
             engine=engine,
-            dual_frontier=dual_frontier,
             kernel=kernel,
         )
         self.leaf_size = leaf_size
@@ -379,7 +377,7 @@ class ApproxDPC(DensityPeaksBase):
                 tree=self._tree,
                 leaf_size=self.leaf_size,
                 n_partitions=self.n_partitions,
-                frontier_target=self.dual_frontier_,
+                frontier_target=self._dual_frontier,
                 task_builder=self._chunk_task,
             )
             dependent[undecided_arr] = outcome.dependent

@@ -50,12 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.predict import nearest_denser_bruteforce
-from repro.index.kdtree import (
-    DUAL_FRONTIER_AUTO,
-    KDTree,
-    adaptive_dual_frontier,
-    resolve_dual_frontier,
-)
+from repro.index.kdtree import KDTree, adaptive_dual_frontier
 from repro.kernels import pair_distances_sq
 from repro.parallel.backends import (
     TaskBuilder,
@@ -425,8 +420,8 @@ def nearest_denser_join(
         )
     try:
         if engine == "dual":
-            frontier = resolve_dual_frontier(frontier_target)
-            if frontier == DUAL_FRONTIER_AUTO:
+            frontier = frontier_target
+            if frontier is None:
                 # Scale-aware deterministic default: a function of the query
                 # count and leaf size only, so results replay identically.
                 frontier = adaptive_dual_frontier(n_q, leaf_size)

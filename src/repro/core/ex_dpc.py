@@ -61,7 +61,7 @@ def strict_self_counts(
     d_cut: float,
     *,
     engine: str,
-    dual_frontier: int,
+    frontier_target: int,
     executor,
     task_builder,
 ) -> np.ndarray:
@@ -77,7 +77,7 @@ def strict_self_counts(
     n = tree.size
     if engine == "dual":
         pairs, base = tree.dual_self_frontier(
-            d_cut, strict=True, target_pairs=dual_frontier
+            d_cut, strict=True, target_pairs=frontier_target
         )
         task = task_builder(
             kernel_dual_self_count,
@@ -137,7 +137,6 @@ class ExDPC(DensityPeaksBase):
         leaf_size: int = 32,
         engine: str | None = None,
         dtype: str = "float64",
-        dual_frontier=None,
         kernel: str | None = None,
     ):
         super().__init__(
@@ -150,7 +149,6 @@ class ExDPC(DensityPeaksBase):
             seed=seed,
             record_costs=record_costs,
             engine=engine,
-            dual_frontier=dual_frontier,
             kernel=kernel,
         )
         self.leaf_size = leaf_size
@@ -184,7 +182,7 @@ class ExDPC(DensityPeaksBase):
             self._tree,
             self.d_cut,
             engine=self.engine_,
-            dual_frontier=self.dual_frontier_,
+            frontier_target=self._dual_frontier,
             executor=self._executor,
             task_builder=self._chunk_task,
         )
@@ -219,7 +217,7 @@ class ExDPC(DensityPeaksBase):
                 counter=self._counter,
                 tree=self._tree,
                 leaf_size=self.leaf_size,
-                frontier_target=self.dual_frontier_,
+                frontier_target=self._dual_frontier,
                 task_builder=self._chunk_task,
             )
             self._record_phase("dependency", "dynamic", outcome.cost_estimates)

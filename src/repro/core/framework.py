@@ -33,11 +33,7 @@ from repro.core.predict import (
     nearest_denser_bruteforce,
     predict_density_bruteforce,
 )
-from repro.index.kdtree import (
-    DUAL_FRONTIER_AUTO,
-    adaptive_dual_frontier,
-    resolve_dual_frontier,
-)
+from repro.index.kdtree import adaptive_dual_frontier
 from repro.kernels import resolve_kernel
 from repro.core.result import DPCResult, canonical_rho_raw
 from repro.parallel.backends import ChunkTask, TaskBuilder, resolve_backend
@@ -178,18 +174,10 @@ class DensityPeaksBase(abc.ABC):
         and falls back to ``"auto"``.  All engines produce bit-for-bit
         identical densities, dependencies and labels (property-tested);
         baselines that have no batch/dual kernels simply ignore the flag.
-    dual_frontier:
-        Number of independent work units the dual engine expands its
-        traversals into (the canonical chunking shared by every execution
-        backend, so results and work counters stay backend-invariant).
-        ``"auto"`` (the default) sizes the frontier from the fitted data
-        size and leaf size (:func:`repro.index.kdtree.adaptive_dual_frontier`
-        -- deterministic, so replays are identical); an explicit positive
-        integer pins it.  ``None`` reads the ``REPRO_DUAL_FRONTIER``
-        environment variable and falls back to ``"auto"``.  The value
-        resolved at fit time is exposed as ``dual_frontier_`` and recorded
-        in ``get_params()`` -- and therefore in model snapshots -- so
-        restored models stay counter-deterministic.
+        The dual engine splits its traversals into
+        :func:`repro.index.kdtree.adaptive_dual_frontier` ``(n, leaf_size)``
+        work units, a pure function of the fitted data, so every backend
+        and every replay of a fit runs the same decomposition.
     kernel:
         Blocked distance-kernel tier of the hot paths: ``"numpy"`` (always
         available), ``"numba"`` (JIT-compiled loops), or ``"auto"``
@@ -223,13 +211,11 @@ class DensityPeaksBase(abc.ABC):
         seed: int | None = 0,
         record_costs: bool = True,
         engine: str | None = None,
-        dual_frontier=None,
         kernel: str | None = None,
     ):
         self.d_cut = check_positive(d_cut, "d_cut")
         self.backend = resolve_backend(backend)
         self.engine = resolve_engine(engine)
-        self.dual_frontier = resolve_dual_frontier(dual_frontier)
         self.kernel = resolve_kernel(kernel)
         self.rho_min = None if rho_min is None else check_non_negative(rho_min, "rho_min")
         if delta_min is not None and n_clusters is not None:
@@ -309,16 +295,12 @@ class DensityPeaksBase(abc.ABC):
         # engine="auto" resolves against the data dimensionality; the
         # subclass hot paths read the resolved engine through `engine_`.
         self._fit_dim = int(points.shape[1])
-        # dual_frontier="auto" resolves against the data size (deterministic
-        # in n and leaf size, so replays are identical); the subclass hot
-        # paths read the resolved value through `dual_frontier_` and
-        # get_params() records it for snapshots.
-        if self.dual_frontier == DUAL_FRONTIER_AUTO:
-            self._dual_frontier_ = adaptive_dual_frontier(
-                points.shape[0], getattr(self, "leaf_size", 32)
-            )
-        else:
-            self._dual_frontier_ = self.dual_frontier
+        # The dual engine's work-unit count: a pure function of the data
+        # size and leaf size, so every backend and every replay of this fit
+        # decomposes its traversals identically.
+        self._dual_frontier = adaptive_dual_frontier(
+            points.shape[0], getattr(self, "leaf_size", 32)
+        )
         rng = ensure_rng(self.seed)
         profile = SimulatedMulticore()
         self._profile = profile
@@ -450,32 +432,6 @@ class DensityPeaksBase(abc.ABC):
                 )
             dim = points.shape[1]
         return effective_engine(self.engine, dim)
-
-    @property
-    def dual_frontier_(self) -> int:
-        """The resolved dual-frontier target of the current/last fit.
-
-        Identical to :attr:`dual_frontier` for explicit integer values;
-        ``"auto"`` resolves against the fitted data size via
-        :func:`repro.index.kdtree.adaptive_dual_frontier` (and therefore
-        requires a fit or a restored snapshot).
-        """
-        value = getattr(self, "_dual_frontier_", None)
-        if value is not None:
-            return value
-        if self.dual_frontier != DUAL_FRONTIER_AUTO:
-            return self.dual_frontier
-        points = getattr(self, "_fit_points_", None)
-        if points is None:
-            raise RuntimeError(
-                "dual_frontier='auto' resolves against the fitted data size; "
-                "fit the estimator (or load a snapshot) first"
-            )
-        value = adaptive_dual_frontier(
-            points.shape[0], getattr(self, "leaf_size", 32)
-        )
-        self._dual_frontier_ = value
-        return value
 
     # ----------------------------------------------------------- re-clustering
 
@@ -722,11 +678,6 @@ class DensityPeaksBase(abc.ABC):
             "backend": self.backend,
             "seed": self.seed,
             "engine": self.engine,
-            # The resolved (integer) frontier once fitted, so snapshots of an
-            # "auto" fit replay with the identical decomposition and work
-            # counters; symbolic before fit.
-            "dual_frontier": getattr(self, "_dual_frontier_", None)
-            or self.dual_frontier,
             "kernel": self.kernel,
         }
 

@@ -82,6 +82,7 @@ from repro.index.kdtree import (
     _block_pair_distances_sq,
     _concat_ranges,
     _row_lex_order,
+    adaptive_dual_frontier,
 )
 from repro.kernels import squared_norms
 from repro.parallel.backends import TaskBuilder, kernel_range_profile
@@ -102,13 +103,13 @@ __all__ = [
 #: the d_cut_max-ball volume) while covering every plausible tour move.
 DEFAULT_D_CUT_MAX_FACTOR = 2.0
 
-#: Default floor on profile row length: rows with fewer neighbors inside
+#: Floor on profile row length: rows with fewer neighbors inside
 #: ``d_cut_max`` (sparse-region points) are augmented to their
-#: ``min_profile_size`` nearest neighbors at build time.  Without the floor,
+#: ``MIN_PROFILE_SIZE`` nearest neighbors at build time.  Without the floor,
 #: exactly those rows dominate the repair cost -- a sparse point's nearest
 #: denser neighbor usually lies beyond ``d_cut_max``, forcing the expensive
 #: join fallback on every recluster.
-DEFAULT_MIN_PROFILE_SIZE = 64
+MIN_PROFILE_SIZE = 64
 
 #: Number of leading join-order entries per row scanned by the dense prefix
 #: tier of the repair sweep.  Almost every point's first denser neighbor sits
@@ -314,8 +315,8 @@ class ReclusterIndex:
     * ``values``: squared neighbor distances per row, ascending, in the
       kd-tree's storage dtype -- the density side.  A row holds every point
       strictly within ``d_cut_max`` of its owner; rows that would hold fewer
-      than ``min_profile_size`` entries are augmented to the owner's
-      ``min_profile_size`` nearest neighbors instead (a superset -- density
+      than :data:`MIN_PROFILE_SIZE` entries are augmented to the owner's
+      ``MIN_PROFILE_SIZE`` nearest neighbors instead (a superset -- density
       bisection is unaffected, repair coverage grows).
     * ``join_ids``: the same neighbors per row, ordered by the dependency
       join's float64 lexicographic ``(squared distance, index)`` -- the
@@ -354,7 +355,6 @@ class ReclusterIndex:
         # would make the pair a cycle only the cyclic GC could free.
         self._params = dict(model.get_params())
         self._algorithm = model.algorithm_name
-        self._dual_frontier = getattr(model, "dual_frontier", None)
         self._tree = tree
         self._points = np.asarray(model._fit_points_, dtype=np.float64)
         self.d_cut_max = float(check_positive(float(d_cut_max), "d_cut_max"))
@@ -401,20 +401,15 @@ class ReclusterIndex:
 
     @classmethod
     def from_estimator(
-        cls,
-        model,
-        *,
-        d_cut_max: float | None = None,
-        min_profile_size: int = DEFAULT_MIN_PROFILE_SIZE,
+        cls, model, *, d_cut_max: float | None = None
     ) -> "ReclusterIndex":
         """Extract the index from a fitted estimator (one-time cost).
 
         ``d_cut_max`` caps the profiles and therefore the largest ``d_cut``
         the index can serve; it defaults to
         ``DEFAULT_D_CUT_MAX_FACTOR * fitted d_cut`` and must cover the fitted
-        ``d_cut`` itself.  ``min_profile_size`` floors the row length for
-        sparse-region points (see :data:`DEFAULT_MIN_PROFILE_SIZE`); ``0``
-        disables the augmentation.
+        ``d_cut`` itself.  Rows of sparse-region points are floored at
+        :data:`MIN_PROFILE_SIZE` entries.
         """
         if not getattr(model, "supports_recluster", False):
             raise ValueError(
@@ -436,10 +431,6 @@ class ReclusterIndex:
                 f"({model.d_cut}); profiles capped below the fitted cutoff "
                 "cannot reproduce the fitted clustering"
             )
-        if int(min_profile_size) < 0:
-            raise ValueError(
-                f"min_profile_size must be non-negative, got {min_profile_size}"
-            )
         jitter = resolve_tiebreak_jitter(model)
 
         points = np.asarray(model._fit_points_, dtype=np.float64)
@@ -448,7 +439,7 @@ class ReclusterIndex:
         base_cov = float(np.float64(d_cut_max) * np.float64(d_cut_max))
         if tree.points.dtype != np.float64:
             base_cov = float(_float32_coverage_sq(points.shape[1], coord_mag, base_cov))
-        k = min(int(min_profile_size), n)
+        k = min(MIN_PROFILE_SIZE, n)
         executor = ParallelExecutor(model.n_jobs, backend=model.backend)
         count_builder = TaskBuilder(executor.backend, points, tree, counter=tree.counter)
         profile_builder = None
@@ -462,7 +453,7 @@ class ReclusterIndex:
                 tree,
                 d_cut_max,
                 engine="dual" if model.engine_ == "dual" else "batch",
-                dual_frontier=model.dual_frontier_,
+                frontier_target=adaptive_dual_frontier(n, model.leaf_size),
                 executor=executor,
                 task_builder=count_builder,
             ).astype(np.int64)
@@ -762,7 +753,6 @@ class ReclusterIndex:
                     query_indices=overflow_rows,
                     tree=self._tree,
                     leaf_size=params.get("leaf_size", 32),
-                    frontier_target=self._dual_frontier,
                     seed_dependent=seed_idx,
                     seed_delta_sq=seed_sq,
                 )

@@ -93,7 +93,6 @@ class SApproxDPC(DensityPeaksBase):
         fallback_factor: float = 4.0,
         engine: str | None = None,
         dtype: str = "float64",
-        dual_frontier=None,
         kernel: str | None = None,
     ):
         super().__init__(
@@ -106,7 +105,6 @@ class SApproxDPC(DensityPeaksBase):
             seed=seed,
             record_costs=record_costs,
             engine=engine,
-            dual_frontier=dual_frontier,
             kernel=kernel,
         )
         self.epsilon = check_positive(epsilon, "epsilon")
@@ -374,7 +372,7 @@ class SApproxDPC(DensityPeaksBase):
             candidate_indices=picked_indices,
             tree=self._tree,
             leaf_size=self.leaf_size,
-            frontier_target=self.dual_frontier_,
+            frontier_target=self._dual_frontier,
             task_builder=self._chunk_task,
         )
         dependent[undecided_arr] = outcome.dependent

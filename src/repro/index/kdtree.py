@@ -85,7 +85,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional
 
@@ -109,10 +108,7 @@ __all__ = [
     "STORAGE_DTYPES",
     "check_storage_dtype",
     "DUAL_FRONTIER_TARGET",
-    "DUAL_FRONTIER_AUTO",
-    "DUAL_FRONTIER_ENV",
     "adaptive_dual_frontier",
-    "resolve_dual_frontier",
 ]
 
 _NO_CHILD = -1
@@ -133,54 +129,6 @@ STORAGE_DTYPES = ("float64", "float32")
 #: same pairs a process-backend worker pool does, which keeps results *and*
 #: work counters bit-for-bit identical across backends and worker counts.
 DUAL_FRONTIER_TARGET = 64
-
-#: Sentinel ``dual_frontier`` value (and the default): the frontier size is
-#: derived per fit from the data scale by :func:`adaptive_dual_frontier`.
-#: Estimators record the *resolved* integer in ``get_params()`` once fitted
-#: (and therefore in model snapshots), so restores replay the exact
-#: decomposition -- and work counters -- of the original fit.
-DUAL_FRONTIER_AUTO = "auto"
-
-#: Environment variable supplying the ``dual_frontier`` default when an
-#: estimator is built with ``dual_frontier=None``; accepts ``"auto"`` or a
-#: positive integer.  The resolved value is recorded in ``get_params()``
-#: (and therefore in model snapshots), so a restored model reproduces the
-#: same frontier decomposition -- and the same work counters -- as the fit
-#: that produced it.
-DUAL_FRONTIER_ENV = "REPRO_DUAL_FRONTIER"
-
-
-def resolve_dual_frontier(value) -> int | str:
-    """Normalise a ``dual_frontier`` parameter.
-
-    ``None`` reads :data:`DUAL_FRONTIER_ENV` and falls back to
-    :data:`DUAL_FRONTIER_AUTO`; any explicit value must be ``"auto"`` or a
-    positive integer (non-positive and unparsable values raise a
-    ``ValueError`` naming the offending input).  Resolution to a concrete
-    integer happens at fit time (:func:`adaptive_dual_frontier` needs the
-    data scale); resolution of the *environment* happens once, at estimator
-    construction, so the environment cannot silently change the
-    decomposition between a fit and a snapshot restore.
-    """
-    from_env = False
-    if value is None:
-        env = os.environ.get(DUAL_FRONTIER_ENV)
-        if not env:
-            return DUAL_FRONTIER_AUTO
-        value = env
-        from_env = True
-    if isinstance(value, str):
-        if value == DUAL_FRONTIER_AUTO:
-            return DUAL_FRONTIER_AUTO
-        source = f"{DUAL_FRONTIER_ENV}={value!r}" if from_env else repr(value)
-        try:
-            value = int(value)
-        except ValueError:
-            raise ValueError(
-                f"dual_frontier must be 'auto' or a positive integer, "
-                f"got {source}"
-            ) from None
-    return check_positive_int(value, "dual_frontier")
 
 
 def adaptive_dual_frontier(n: int, leaf_size: int) -> int:

@@ -414,7 +414,7 @@ class ShardedDPC(ExDPC):
                 tree,
                 self.d_cut,
                 engine=self.engine_,
-                dual_frontier=self.dual_frontier_,
+                frontier_target=self._dual_frontier,
                 executor=executor,
                 task_builder=task_builder,
             )
@@ -535,7 +535,7 @@ class ShardedDPC(ExDPC):
                 counter=counter if counter is not None else self._counter,
                 tree=tree,
                 leaf_size=self.leaf_size,
-                frontier_target=self.dual_frontier_,
+                frontier_target=self._dual_frontier,
                 task_builder=task_builder,
             )
 

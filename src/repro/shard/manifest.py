@@ -184,7 +184,7 @@ def load_sharded(path, *, mmap: bool = False):
     params = dict(manifest.get("params", {}))
     known = {
         "rho_min", "delta_min", "n_clusters", "n_jobs", "backend", "seed",
-        "engine", "dual_frontier", "kernel", "leaf_size", "dtype", "n_shards",
+        "engine", "kernel", "leaf_size", "dtype", "n_shards",
         "memory_budget_bytes",
     }
     kwargs = {key: value for key, value in params.items() if key in known}

@@ -62,9 +62,11 @@ __all__ = [
 #: (``tree.bbox_min`` / ``tree.bbox_max``) and float32 tree storage (the
 #: split values carry the storage dtype; points stay float64 on disk).
 #: Version 3 added the per-node density maxima of the nearest-denser join
-#: (``tree.rho_max``, attached by fit) and records the resolved
-#: ``dual_frontier`` in the params, so restored models serve the dual
-#: dependency engine without recomputation and stay counter-deterministic.
+#: (``tree.rho_max``, attached by fit), so restored models serve the dual
+#: dependency engine without recomputation.  v3 and v4 snapshots written
+#: while estimators still took ``dual_frontier=`` record it in the params;
+#: constructor filtering ignores it on load (the frontier is derived from
+#: the data size, :func:`repro.index.kdtree.adaptive_dual_frontier`).
 #: Version 4 added the density tie-break jitter (``tiebreak_jitter``) and,
 #: when the estimator had built one, the re-cluster index profiles
 #: (``profile.values`` / ``profile.join_ids`` / ``profile.indptr`` /
@@ -72,10 +74,9 @@ __all__ = [
 #: answer :meth:`~repro.core.framework.DensityPeaksBase.recluster` without
 #: re-deriving either.  :func:`load_model` reads *every* version back to 1:
 #: v1 tree bounding boxes are rebuilt on load, and pre-v4 snapshots simply
-#: restore without a cached re-cluster index.  The ``kernel`` tier name and
-#: the (possibly resolved) ``dual_frontier`` ride in the params record --
-#: constructor filtering restores them without a format bump, and
-#: ``kernel="auto"`` stays symbolic so snapshots are portable across
+#: restore without a cached re-cluster index.  The ``kernel`` tier name
+#: rides in the params record -- constructor filtering restores it without
+#: a format bump, and ``kernel="auto"`` stays symbolic so snapshots are portable across
 #: machines with different accelerators (tiers are bit-identical).
 MODEL_FORMAT_VERSION = 4
 

@@ -9,10 +9,11 @@ static bulk-loaded :class:`~repro.index.kdtree.KDTree` built by the last full
 (re)fit over the *base* points, and a dynamic pointer
 :class:`~repro.index.kdtree.IncrementalKDTree` holding the *hot buffer* of
 points inserted since.  Range queries consult both (evicted base points are
-masked out).  Once the number of mutations since the last rebuild exceeds
-``rebuild_threshold * n``, the window is cold-fitted again through the batch
-engine, which resets the buffer -- classic amortization: each rebuild costs
-one fit but pays for ``Theta(n)`` cheap updates.
+masked out).  Once the number of mutations since the last rebuild reaches a
+quarter of the window (and at least 64), the window is cold-fitted again
+through the stream's engine, which resets the buffer -- classic
+amortization: each rebuild costs one fit but pays for ``Theta(n)`` cheap
+updates.
 
 **Localized repair.**  Definition 1 is local: inserting or evicting a point
 ``q`` changes the density of exactly the points whose ``d_cut``-ball contains
@@ -46,6 +47,8 @@ last-ulp coincidences at the ``delta_min`` boundary).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -89,17 +92,9 @@ class StreamingDPC:
         is what makes incremental state and cold refits agree.
     leaf_size:
         kd-tree leaf size for rebuilds and snapshots.
-    rebuild_threshold:
-        Fraction of the window size worth of mutations (inserts + evicts)
-        that triggers a full amortized rebuild.
-    min_rebuild:
-        Never rebuild before this many mutations accumulate (keeps tiny
-        windows from rebuilding constantly).
     refit_equivalence:
         Self-check mode: verify every update against a cold fit (slow --
         meant for tests and debugging, not production).
-    repair_chunk:
-        Dirty points processed per vectorised repair block.
     engine:
         Query engine of the wrapped Ex-DPC (``"scalar"``, ``"batch"``,
         ``"dual"`` or ``"auto"``; ``None`` reads ``REPRO_DEFAULT_ENGINE``
@@ -108,11 +103,6 @@ class StreamingDPC:
         dual-tree self-join -- results are bit-for-bit identical on every
         engine.  :meth:`predict` joins new points against the window tree
         with one simultaneous traversal whatever the engine.
-    dual_frontier:
-        Work-unit decomposition of the dual joins (``"auto"``, an int, or
-        ``None`` to read ``REPRO_DUAL_FRONTIER``).  ``"auto"`` stays
-        symbolic and is resolved against the window size at each rebuild,
-        deterministically, so replays of one stream agree.
     kernel:
         Blocked kernel tier of every distance evaluation (``"auto"``,
         ``"numpy"``, ``"numba"``; ``None`` reads ``REPRO_KERNEL``).  Tiers
@@ -127,7 +117,23 @@ class StreamingDPC:
     stats_:
         Operation counters: inserts, evicts, repairs, rebuilds, dirty-set
         sizes, equivalence checks.
+
+    An operation that raises part-way (for example ``ValueError: no cluster
+    centers selected`` when the new window has no eligible center) leaves
+    the stream unfitted, exactly like a failed
+    :meth:`~repro.core.framework.DensityPeaksBase.fit`: :meth:`insert`,
+    :meth:`update`, :meth:`evict_oldest`, :meth:`predict` and ``window_``
+    then raise until the next successful :meth:`fit`.
     """
+
+    #: Mutations (inserts + evicts), as a fraction of the window size, that
+    #: trigger a full amortized rebuild.
+    _REBUILD_THRESHOLD = 0.25
+    #: Never rebuild before this many mutations accumulate (keeps tiny
+    #: windows from rebuilding constantly).
+    _MIN_REBUILD = 64
+    #: Dirty points processed per vectorised repair block.
+    _REPAIR_CHUNK = 256
 
     def __init__(
         self,
@@ -139,24 +145,13 @@ class StreamingDPC:
         n_clusters: int | None = None,
         seed: int | None = 0,
         leaf_size: int = 32,
-        rebuild_threshold: float = 0.25,
-        min_rebuild: int = 64,
         refit_equivalence: bool = False,
-        repair_chunk: int = 256,
         engine: str | None = None,
-        dual_frontier=None,
         kernel: str | None = None,
     ):
         from repro.core.framework import resolve_engine
-        from repro.index.kdtree import resolve_dual_frontier
 
         self.engine = resolve_engine(engine)
-        # Resolved once, here: every amortized rebuild must use the same
-        # frontier decomposition, or work counters would drift between
-        # rebuilds of one stream if the environment changed underneath.
-        # ``"auto"`` stays symbolic -- the wrapped estimator resolves it
-        # against the window size at each rebuild (deterministic in n).
-        self.dual_frontier = resolve_dual_frontier(dual_frontier)
         self.kernel = resolve_kernel(kernel)
         self.d_cut = check_positive(d_cut, "d_cut")
         if window_size is not None:
@@ -169,10 +164,7 @@ class StreamingDPC:
         self.n_clusters = n_clusters
         self.seed = seed
         self.leaf_size = check_positive_int(leaf_size, "leaf_size")
-        self.rebuild_threshold = check_positive(rebuild_threshold, "rebuild_threshold")
-        self.min_rebuild = check_positive_int(min_rebuild, "min_rebuild")
         self.refit_equivalence = bool(refit_equivalence)
-        self.repair_chunk = check_positive_int(repair_chunk, "repair_chunk")
         # Validate the center-selection parameters eagerly (ExDPC rejects
         # inconsistent combinations with the library's standard messages).
         self._make_estimator()
@@ -209,7 +201,6 @@ class StreamingDPC:
             backend="serial",
             record_costs=False,
             engine=self.engine,
-            dual_frontier=self.dual_frontier,
             kernel=self.kernel,
         )
 
@@ -225,6 +216,21 @@ class StreamingDPC:
                 "this StreamingDPC instance is not fitted yet; call fit() with "
                 "the initial window first"
             )
+
+    @contextmanager
+    def _unfitted_on_error(self):
+        """Leave the stream unfitted if the wrapped mutation raises part-way.
+
+        The window arrays may already describe the new window while the
+        index and clustering still describe the old one; dropping the
+        fitted state makes every later operation refuse until a new fit.
+        """
+        try:
+            yield
+        except BaseException:
+            self._base_tree = None
+            self.labels_ = self.centers_ = self.noise_mask_ = None
+            raise
 
     @property
     def n_points(self) -> int:
@@ -269,23 +275,24 @@ class StreamingDPC:
                 f"initial window has {points.shape[0]} points, which exceeds "
                 f"window_size={self.window_size}"
             )
-        n, self._dim = points.shape
-        capacity = max(n, self.window_size or 0, 8)
-        self._points = np.empty((capacity, self._dim), dtype=np.float64)
-        self._points[:n] = points
-        self._age = np.empty(capacity, dtype=np.int64)
-        self._age[:n] = np.arange(n)
-        self._next_age = n
-        self._rho_raw = np.zeros(capacity, dtype=np.float64)
-        self._rho = np.zeros(capacity, dtype=np.float64)
-        self._delta = np.zeros(capacity, dtype=np.float64)
-        self._dependent = np.full(capacity, -1, dtype=np.intp)
-        self._slot_base = np.full(capacity, -1, dtype=np.intp)
-        self._slot_hot = np.full(capacity, -1, dtype=np.intp)
-        self._n = n
-        self._rebuild()
-        if self.refit_equivalence:
-            self._check_equivalence()
+        with self._unfitted_on_error():
+            n, self._dim = points.shape
+            capacity = max(n, self.window_size or 0, 8)
+            self._points = np.empty((capacity, self._dim), dtype=np.float64)
+            self._points[:n] = points
+            self._age = np.empty(capacity, dtype=np.int64)
+            self._age[:n] = np.arange(n)
+            self._next_age = n
+            self._rho_raw = np.zeros(capacity, dtype=np.float64)
+            self._rho = np.zeros(capacity, dtype=np.float64)
+            self._delta = np.zeros(capacity, dtype=np.float64)
+            self._dependent = np.full(capacity, -1, dtype=np.intp)
+            self._slot_base = np.full(capacity, -1, dtype=np.intp)
+            self._slot_hot = np.full(capacity, -1, dtype=np.intp)
+            self._n = n
+            self._rebuild()
+            if self.refit_equivalence:
+                self._check_equivalence()
         return self
 
     def insert(self, points) -> "StreamingDPC":
@@ -301,9 +308,10 @@ class StreamingDPC:
                 f"window_size={self.window_size}; use update() for sliding-"
                 "window semantics"
             )
-        for row in points:
-            self._insert_one(row)
-        self._finish_update()
+        with self._unfitted_on_error():
+            for row in points:
+                self._insert_one(row)
+            self._finish_update()
         return self
 
     def evict_oldest(self, count: int = 1) -> "StreamingDPC":
@@ -314,25 +322,28 @@ class StreamingDPC:
             raise ValueError(
                 f"evicting {count} points would shrink the window below 2"
             )
-        for _ in range(count):
-            self._evict_slot(int(np.argmin(self._age[: self._n])))
-        self._finish_update()
+        with self._unfitted_on_error():
+            for _ in range(count):
+                self._evict_slot(int(np.argmin(self._age[: self._n])))
+            self._finish_update()
         return self
 
     def update(self, points) -> "StreamingDPC":
         """Insert points, evicting the oldest first when the window is full."""
         self._check_fitted()
         points = self._check_stream_points(points)
-        for row in points:
-            if self.window_size is not None and self._n >= self.window_size:
-                # The insert immediately below restores the population, so the
-                # window may transiently hold one point (transient=True);
-                # repairs only run after the batch, on a full window.
-                self._evict_slot(
-                    int(np.argmin(self._age[: self._n])), transient=True
-                )
-            self._insert_one(row)
-        self._finish_update()
+        with self._unfitted_on_error():
+            for row in points:
+                if self.window_size is not None and self._n >= self.window_size:
+                    # The insert immediately below restores the population, so
+                    # the window may transiently hold one point
+                    # (transient=True); repairs only run after the batch, on a
+                    # full window.
+                    self._evict_slot(
+                        int(np.argmin(self._age[: self._n])), transient=True
+                    )
+                self._insert_one(row)
+            self._finish_update()
         return self
 
     def predict(self, points) -> np.ndarray:
@@ -502,7 +513,7 @@ class StreamingDPC:
 
     def _finish_update(self) -> None:
         """Repair (or rebuild) dependencies/labels after a batch of ingest ops."""
-        threshold = max(self.min_rebuild, int(self.rebuild_threshold * self._n))
+        threshold = max(self._MIN_REBUILD, int(self._REBUILD_THRESHOLD * self._n))
         if self._mutations >= threshold:
             # A rebuild recomputes everything from the window; the repair
             # pass would be redundant work.
@@ -542,8 +553,8 @@ class StreamingDPC:
         # candidates eligible for the smallest-index tie-break).
         if changed.size:
             delta_sq = np.square(delta_old)
-            for start in range(0, changed.size, self.repair_chunk):
-                block = changed[start : start + self.repair_chunk]
+            for start in range(0, changed.size, self._REPAIR_CHUNK):
+                block = changed[start : start + self._REPAIR_CHUNK]
                 d_sq = pair_distances_sq(points[block], points)
                 self._counter.add("distance_calcs", float(block.size) * float(n))
                 cond = (new_rho[block][:, None] > new_rho[None, :]) & (

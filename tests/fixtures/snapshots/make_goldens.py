@@ -76,10 +76,6 @@ def downgrade(arrays: dict, meta: dict, version: int) -> tuple[dict, dict]:
         if _META_INTRODUCED_AT.get(key, 1) <= version
     }
     meta["format_version"] = version
-    if version < 4:
-        # Historical params never recorded dual_frontier before v3.
-        if version < 3:
-            meta.get("params", {}).pop("dual_frontier", None)
     return kept, meta
 
 

@@ -17,7 +17,7 @@ and cold code paths, which is outside the documented guarantee.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExDPC
@@ -68,8 +68,8 @@ class TestRefitEquivalence:
             delta_min=DELTA_MIN,
             seed=0,
             refit_equivalence=True,  # raises on any divergence, every step
-            min_rebuild=10_000,  # keep the repair path under test
         )
+        stream._MIN_REBUILD = 10_000  # keep the repair path under test
         stream.fit(_points(rng, initial))
         for kind, size in operations:
             if kind == "evict":
@@ -101,6 +101,8 @@ class TestRefitEquivalence:
         window=st.integers(16, 36),
         batches=st.lists(st.integers(1, 5), min_size=1, max_size=6),
     )
+    # A slide that leaves no selectable center.
+    @example(data_seed=408, window=16, batches=[1])
     def test_sliding_window_update_sequences(self, data_seed, window, batches):
         rng = np.random.default_rng(data_seed)
         stream = StreamingDPC(
@@ -110,11 +112,24 @@ class TestRefitEquivalence:
             window_size=window,
             seed=0,
             refit_equivalence=True,
-            min_rebuild=10_000,
         )
+        stream._MIN_REBUILD = 10_000
         stream.fit(_points(rng, window))
         for size in batches:
-            stream.update(_points(rng, size))
+            try:
+                stream.update(_points(rng, size))
+            except ValueError as error:
+                # As in the landmark test: a cold fit of the same window must
+                # refuse identically, and the refused stream is unfitted.
+                if "no cluster centers selected" not in str(error):
+                    raise
+                refused = stream._points[: stream._n].copy()
+                with pytest.raises(ValueError, match="no cluster centers"):
+                    _cold_labels(refused, 2)
+                assert stream.labels_ is None
+                with pytest.raises(RuntimeError, match="not fitted"):
+                    stream.window_
+                return
         assert stream.n_points == window
         np.testing.assert_array_equal(
             stream.labels_, _cold_labels(stream.window_, 2)
@@ -131,9 +146,9 @@ class TestRefitEquivalence:
             window_size=24,
             seed=0,
             refit_equivalence=True,
-            min_rebuild=4,  # force frequent amortized rebuilds
-            rebuild_threshold=0.1,
         )
+        stream._MIN_REBUILD = 4  # force frequent amortized rebuilds
+        stream._REBUILD_THRESHOLD = 0.1
         stream.fit(_points(rng, 24))
         for _ in range(updates):
             stream.update(_points(rng, 1))

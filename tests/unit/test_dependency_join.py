@@ -2,22 +2,31 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core import ApproxDPC, ExDPC
-from repro.core.dependency_join import PartitionedDependencySearcher
+from repro.core import ApproxDPC, ExDPC, SApproxDPC
+from repro.core.dependency_join import (
+    PartitionedDependencySearcher,
+    nearest_denser_join,
+)
+from repro.core.ex_dpc import strict_self_counts
 from repro.core.framework import effective_engine, resolve_engine
 from repro.core.predict import nearest_denser_bruteforce
 from repro.index.kdtree import (
-    DUAL_FRONTIER_AUTO,
-    DUAL_FRONTIER_ENV,
     adaptive_dual_frontier,
     KDTree,
     KDTreeArrays,
-    resolve_dual_frontier,
 )
 from repro.io import load_model, save_model
+from repro.parallel.backends import TaskBuilder
+from repro.parallel.executor import ParallelExecutor
+from repro.shard import ShardedDPC
+from repro.utils.counters import WorkCounter
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "fixtures" / "snapshots"
 
 
 @pytest.fixture()
@@ -86,21 +95,7 @@ class TestDensityBounds:
             broken.validate(tree.points, tree.leaf_size)
 
 
-class TestResolveDualFrontier:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(DUAL_FRONTIER_ENV, raising=False)
-        assert resolve_dual_frontier(None) == DUAL_FRONTIER_AUTO
-
-    def test_env_auto_and_bad_values(self, monkeypatch):
-        monkeypatch.setenv(DUAL_FRONTIER_ENV, "auto")
-        assert resolve_dual_frontier(None) == DUAL_FRONTIER_AUTO
-        monkeypatch.setenv(DUAL_FRONTIER_ENV, "banana")
-        with pytest.raises(ValueError, match="REPRO_DUAL_FRONTIER"):
-            resolve_dual_frontier(None)
-        monkeypatch.setenv(DUAL_FRONTIER_ENV, "-3")
-        with pytest.raises(ValueError):
-            resolve_dual_frontier(None)
-
+class TestDualFrontier:
     def test_adaptive_heuristic(self):
         # Deterministic, scale-aware, clamped to [64, 4096].
         assert adaptive_dual_frontier(10, 32) == 64
@@ -109,39 +104,70 @@ class TestResolveDualFrontier:
         # Pure function of (n, leaf_size): replays are identical.
         assert adaptive_dual_frontier(5_000, 8) == adaptive_dual_frontier(5_000, 8)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(DUAL_FRONTIER_ENV, "17")
-        assert resolve_dual_frontier(None) == 17
-        # Explicit values win over the environment.
-        assert resolve_dual_frontier(5) == 5
+    @pytest.mark.parametrize(
+        "cls, extra",
+        [(ExDPC, {}), (ApproxDPC, {}), (SApproxDPC, {"epsilon": 0.5}), (ShardedDPC, {})],
+    )
+    def test_dual_frontier_keyword_removed(self, cls, extra):
+        # The frontier is derived from the data size; no estimator takes it.
+        with pytest.raises(TypeError, match="dual_frontier"):
+            cls(d_cut=10.0, n_clusters=3, dual_frontier=64, **extra)
 
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            resolve_dual_frontier(0)
-
-    def test_recorded_in_params_and_snapshot(self, tmp_path, monkeypatch, cloud):
-        points, _ = cloud
-        monkeypatch.setenv(DUAL_FRONTIER_ENV, "23")
-        model = ExDPC(d_cut=10.0, n_clusters=3, engine="dual")
-        assert model.get_params()["dual_frontier"] == 23
-        # The value is resolved at construction: later env changes are inert.
-        monkeypatch.setenv(DUAL_FRONTIER_ENV, "99")
-        result = model.fit(points)
-        assert result.params_["dual_frontier"] == 23
-        path = save_model(model, tmp_path / "m.npz")
-        monkeypatch.delenv(DUAL_FRONTIER_ENV)
-        restored = load_model(path)
-        assert restored.dual_frontier == 23
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_golden_snapshot_serves_identically(self, version):
+        # The v4 golden records the dual_frontier param estimators used to
+        # take; loading ignores it and the model serves like a cold fit.
+        model = load_model(GOLDEN_DIR / f"golden_v{version}.npz")
+        assert ("dual_frontier" in model.result_.params_) == (version == 4)
+        assert "dual_frontier" not in model.get_params()
+        np.testing.assert_array_equal(
+            model.result_.labels_, np.load(GOLDEN_DIR / "golden_labels.npy")
+        )
+        params = {k: v for k, v in model.get_params().items() if k != "algorithm"}
+        cold = ExDPC(**params)
+        cold.fit(np.asarray(model._fit_points_))
+        np.testing.assert_array_equal(cold.result_.labels_, model.result_.labels_)
+        queries = np.random.default_rng(7).uniform(0, 100_000, size=(150, 2))
+        np.testing.assert_array_equal(model.predict(queries), cold.predict(queries))
 
     def test_frontier_size_does_not_change_result(self, cloud):
-        points, _ = cloud
-        base = ExDPC(d_cut=10.0, n_clusters=3, engine="dual", dual_frontier=1).fit(points)
-        other = ExDPC(d_cut=10.0, n_clusters=3, engine="dual", dual_frontier=200).fit(
-            points
-        )
-        np.testing.assert_array_equal(base.labels_, other.labels_)
-        np.testing.assert_array_equal(base.dependent_, other.dependent_)
-        np.testing.assert_array_equal(base.delta_, other.delta_)
+        # The internal work-unit targets only regroup the dual traversals:
+        # densities, dependencies and deltas are identical at any size.
+        points, rho = cloud
+        tree = KDTree(points, leaf_size=8)
+        counts, joins = [], []
+        with ParallelExecutor(1, backend="serial") as executor:
+            builder = TaskBuilder(executor.backend, points, tree, counter=WorkCounter())
+            try:
+                for target in (1, 7, 200):
+                    counts.append(
+                        strict_self_counts(
+                            tree,
+                            10.0,
+                            engine="dual",
+                            frontier_target=target,
+                            executor=executor,
+                            task_builder=builder,
+                        )
+                    )
+                    joins.append(
+                        nearest_denser_join(
+                            points,
+                            rho,
+                            engine="dual",
+                            executor=executor,
+                            counter=WorkCounter(),
+                            tree=tree,
+                            leaf_size=8,
+                            frontier_target=target,
+                        )
+                    )
+            finally:
+                builder.close()
+        for other_counts, other_join in zip(counts[1:], joins[1:]):
+            np.testing.assert_array_equal(counts[0], other_counts)
+            np.testing.assert_array_equal(joins[0].dependent, other_join.dependent)
+            np.testing.assert_array_equal(joins[0].delta, other_join.delta)
 
 
 class TestAutoEngine:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import ApproxDPC, ExDPC
 from repro.core.dependency_join import nearest_denser_join
+from repro.core import recluster as recluster_module
 from repro.core.recluster import ReclusterIndex, resolve_tiebreak_jitter
 from repro.index.kdtree import KDTree
 from repro.parallel.executor import ParallelExecutor
@@ -43,9 +44,9 @@ class TestBuild:
         with pytest.raises(ValueError, match="must cover the fitted d_cut"):
             ReclusterIndex.from_estimator(fitted, d_cut_max=0.5 * D_CUT)
 
-    def test_negative_min_profile_size_rejected(self, fitted):
-        with pytest.raises(ValueError, match="min_profile_size"):
-            ReclusterIndex.from_estimator(fitted, min_profile_size=-1)
+    def test_min_profile_size_keyword_removed(self, fitted):
+        with pytest.raises(TypeError, match="min_profile_size"):
+            ReclusterIndex.from_estimator(fitted, min_profile_size=16)
 
     def test_default_cap_is_twice_fitted_d_cut(self, index):
         assert index.d_cut_max == pytest.approx(2.0 * D_CUT)
@@ -62,12 +63,13 @@ class TestBuild:
             values = index._values[lo:hi]
             assert np.all(np.diff(values) >= 0)
 
-    def test_sparse_rows_are_floored(self, small_blobs):
-        # An outlier-heavy fit: every row still reaches min_profile_size.
+    def test_sparse_rows_are_floored(self, small_blobs, monkeypatch):
+        # An outlier-heavy fit: every row still reaches MIN_PROFILE_SIZE.
         points, _ = small_blobs
         model = ExDPC(200.0, rho_min=2, n_clusters=3, seed=0)
         model.fit(points)
-        index = ReclusterIndex.from_estimator(model, min_profile_size=16)
+        monkeypatch.setattr(recluster_module, "MIN_PROFILE_SIZE", 16)
+        index = ReclusterIndex.from_estimator(model)
         lengths = np.diff(index._indptr)
         assert lengths.min() >= 16
 
@@ -220,13 +222,14 @@ class TestFallbackPaths:
                 getattr(brute, name), getattr(joined, name), err_msg=name
             )
 
-    def test_unaugmented_index_still_exact(self, small_blobs):
-        # min_profile_size=0 disables the k-NN floor: more rows hit the join
+    def test_unaugmented_index_still_exact(self, small_blobs, monkeypatch):
+        # MIN_PROFILE_SIZE=0 disables the k-NN floor: more rows hit the join
         # fallback, the answers stay bit-identical to a cold fit.
         points, _ = small_blobs
         model = ExDPC(D_CUT, rho_min=2, n_clusters=3, seed=0)
         model.fit(points)
-        index = ReclusterIndex.from_estimator(model, min_profile_size=0)
+        monkeypatch.setattr(recluster_module, "MIN_PROFILE_SIZE", 0)
+        index = ReclusterIndex.from_estimator(model)
         res = index.recluster(0.7 * D_CUT, rho_min=2, n_clusters=3)
         cold = ExDPC(0.7 * D_CUT, rho_min=2, n_clusters=3, seed=0).fit(points)
         np.testing.assert_array_equal(res.labels_, cold.labels_)

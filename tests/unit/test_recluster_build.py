@@ -3,7 +3,7 @@
 The index arrays must equal a brute-force reference bit for bit on every
 backend: all pairs strictly inside ``d_cut_max`` in storage arithmetic,
 sorted per row by ``(squared distance, index)``, rows shorter than
-``min_profile_size`` replaced by their k nearest neighbors, and on float32
+``MIN_PROFILE_SIZE`` replaced by their k nearest neighbors, and on float32
 trees a second per-row order by the join's float64 ``(squared distance,
 index)``.  The build's transient memory is bounded relative to the index.
 """
@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core import ExDPC
+from repro.core import recluster as recluster_module
 from repro.core.recluster import (
-    DEFAULT_MIN_PROFILE_SIZE,
+    MIN_PROFILE_SIZE,
     ReclusterIndex,
     _float32_coverage_sq,
 )
@@ -101,7 +102,10 @@ BACKENDS = [("serial", 1), ("thread", 2), ("process", 2)]
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("min_profile_size", [0, 16])
-def test_build_matches_brute_force_on_every_backend(dataset, dtype, min_profile_size):
+def test_build_matches_brute_force_on_every_backend(
+    dataset, dtype, min_profile_size, monkeypatch
+):
+    monkeypatch.setattr(recluster_module, "MIN_PROFILE_SIZE", min_profile_size)
     make, d_cut, d_cut_max = DATASETS[dataset]
     points = make()
     k = min(min_profile_size, points.shape[0])
@@ -119,9 +123,7 @@ def test_build_matches_brute_force_on_every_backend(dataset, dtype, min_profile_
             dtype=np.dtype(dtype).name,
         )
         model.fit(points)
-        index = ReclusterIndex.from_estimator(
-            model, d_cut_max=d_cut_max, min_profile_size=min_profile_size
-        )
+        index = ReclusterIndex.from_estimator(model, d_cut_max=d_cut_max)
         assert_index_equal(index, expected)
 
 
@@ -143,7 +145,7 @@ def test_default_min_profile_size_applies(dtype):
     model = ExDPC(9.0, n_clusters=3, backend="serial", dtype=np.dtype(dtype).name)
     model.fit(points)
     index = model.recluster_index()
-    k = min(DEFAULT_MIN_PROFILE_SIZE, points.shape[0])
+    k = min(MIN_PROFILE_SIZE, points.shape[0])
     assert_index_equal(index, reference_index(points, dtype, 18.0, k))
 
 

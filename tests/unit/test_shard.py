@@ -275,6 +275,20 @@ class TestManifestRoundTrip:
         assert "pipeline" not in restored.get_params()
         np.testing.assert_array_equal(restored.predict(points), fitted.result_.labels_)
 
+    def test_manifest_with_legacy_dual_frontier_param_loads(
+        self, fitted, points, tmp_path
+    ):
+        # Manifests written while estimators still took ``dual_frontier=``
+        # record it in their params; loading ignores it instead of failing.
+        path = save_sharded(fitted, tmp_path / "manifest")
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"]["dual_frontier"] = 64
+        manifest_path.write_text(json.dumps(manifest))
+        restored = load_sharded(path)
+        assert "dual_frontier" not in restored.get_params()
+        np.testing.assert_array_equal(restored.predict(points), fitted.result_.labels_)
+
     def test_manifest_is_one_file_per_shard(self, fitted, tmp_path):
         path = save_sharded(fitted, tmp_path / "manifest")
         names = sorted(p.name for p in path.iterdir())

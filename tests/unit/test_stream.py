@@ -11,12 +11,15 @@ def _uniform(n, seed=0):
     return np.random.default_rng(seed).uniform(0.0, 100.0, size=(n, 2))
 
 
-def _stream(**overrides):
-    params = dict(
-        d_cut=15.0, rho_min=2, delta_min=25.0, seed=0, min_rebuild=10_000
-    )
+def _stream(min_rebuild=10_000, rebuild_threshold=None, **overrides):
+    params = dict(d_cut=15.0, rho_min=2, delta_min=25.0, seed=0)
     params.update(overrides)
-    return StreamingDPC(**params)
+    stream = StreamingDPC(**params)
+    # The rebuild tunables are class constants; pin them per instance.
+    stream._MIN_REBUILD = min_rebuild
+    if rebuild_threshold is not None:
+        stream._REBUILD_THRESHOLD = rebuild_threshold
+    return stream
 
 
 class TestLifecycle:
@@ -48,6 +51,13 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="window_size"):
             StreamingDPC(d_cut=1.0, delta_min=5.0, window_size=1)
 
+    @pytest.mark.parametrize(
+        "keyword", ["rebuild_threshold", "min_rebuild", "repair_chunk", "dual_frontier"]
+    )
+    def test_removed_keywords_raise(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            StreamingDPC(d_cut=15.0, delta_min=25.0, **{keyword: 1})
+
     def test_initial_window_must_fit(self):
         with pytest.raises(ValueError, match="exceeds"):
             _stream(window_size=10).fit(_uniform(20))
@@ -56,6 +66,44 @@ class TestLifecycle:
         stream = _stream().fit(_uniform(30))
         with pytest.raises(ValueError, match="dimension"):
             stream.insert(np.zeros((1, 3)))
+
+
+class TestRefusal:
+    """An operation that raises part-way leaves the stream unfitted."""
+
+    @staticmethod
+    def _assert_unfitted(stream):
+        assert stream.labels_ is None and stream.centers_ is None
+        with pytest.raises(RuntimeError, match="not fitted"):
+            stream.window_
+        with pytest.raises(RuntimeError, match="not fitted"):
+            stream.update(_uniform(1, seed=5))
+
+    def test_refused_update_leaves_stream_unfitted(self):
+        # Sliding the window by one point leaves no point with rho >= 2 and
+        # delta >= delta_min: the repair refuses exactly like a cold fit.
+        rng = np.random.default_rng(408)
+        stream = StreamingDPC(
+            d_cut=15,
+            rho_min=2,
+            delta_min=25,
+            window_size=16,
+            refit_equivalence=True,
+        )
+        stream.fit(rng.uniform(0.0, 100.0, size=(16, 2)))
+        with pytest.raises(ValueError, match="no cluster centers selected"):
+            stream.update(rng.uniform(0.0, 100.0, size=(1, 2)))
+        self._assert_unfitted(stream)
+        # A fresh fit brings the stream back.
+        stream.fit(_uniform(16))
+        assert stream.window_.shape == (16, 2)
+
+    def test_refused_refit_leaves_stream_unfitted(self):
+        stream = _stream().fit(_uniform(30))
+        sparse = np.arange(20.0)[:, None] * np.array([[100.0, 0.0]])
+        with pytest.raises(ValueError, match="no cluster centers selected"):
+            stream.fit(sparse)
+        self._assert_unfitted(stream)
 
 
 class TestWindowPolicies:
@@ -75,6 +123,8 @@ class TestWindowPolicies:
         stream = _stream(window_size=30).fit(_uniform(30))
         with pytest.raises(ValueError, match="window_size"):
             stream.insert(_uniform(1, seed=1))
+        # The check runs before any mutation: the stream stays fitted.
+        stream.update(_uniform(1, seed=1))
 
     def test_evict_oldest_removes_oldest(self):
         points = _uniform(30)
